@@ -38,13 +38,6 @@ inline std::uint64_t lane_broadcast(bool v) {
   return v ? ~std::uint64_t{0} : std::uint64_t{0};
 }
 
-/// Per-lane 2:1 mux: lane L of the result is hi's lane when sel's lane is
-/// 1, else lo's lane. The workhorse of the mux-tree LUT evaluation.
-inline std::uint64_t lane_blend(std::uint64_t lo, std::uint64_t hi,
-                                std::uint64_t sel) {
-  return lo ^ ((lo ^ hi) & sel);
-}
-
 /// Word with the low `lanes` lane bits set (the "active lanes" mask of a
 /// possibly partial batch). lanes must be in [1, 64].
 inline std::uint64_t lane_mask_for(unsigned lanes) {
@@ -78,18 +71,6 @@ class BatchBitVec {
   /// Words per site row (the lane capacity is 64 * lane_words()).
   [[nodiscard]] std::size_t lane_words() const { return lane_words_; }
   [[nodiscard]] bool empty() const { return sites_ == 0; }
-
-  /// The first 64 lanes of one site — the historical single-word
-  /// accessor, valid only for lane_words() == 1 layouts (all the legacy
-  /// 64-lane evaluators).
-  [[nodiscard]] std::uint64_t word(std::size_t site) const {
-    assert(lane_words_ == 1);
-    return words_[site];
-  }
-  [[nodiscard]] std::uint64_t& word(std::size_t site) {
-    assert(lane_words_ == 1);
-    return words_[site];
-  }
 
   /// All lanes of one site: `lane_words()` contiguous words.
   [[nodiscard]] const std::uint64_t* row(std::size_t site) const {

@@ -30,7 +30,7 @@ struct SweepRecord {
   /// aggregated counters behind points[i], as produced by
   /// TrialEngine::sweep_anatomy). Leave empty to omit the per-point "metrics"
   /// block from the JSON.
-  std::vector<obs::Counters> point_metrics;
+  std::vector<obs::Counters> point_metrics{};
 };
 
 /// Top-level bench result document, serialized as one JSON object.

@@ -47,7 +47,10 @@ std::string utc_timestamp() {
   const std::time_t now = std::time(nullptr);
   std::tm tm{};
   gmtime_r(&now, &tm);
-  char buf[32];
+  // Sized for six int fields at their widest ("-2147483648", 11 chars)
+  // plus the six literal characters and the NUL, so snprintf can never
+  // truncate; real dates print the usual 20 characters.
+  char buf[6 * 11 + 6 + 1];
   std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec);

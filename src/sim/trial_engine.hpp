@@ -7,8 +7,9 @@
 // composition exactly once:
 //
 //   * `threads` / `chunking` — how work items fan out over the pool;
-//   * `batch_lanes`          — scalar IAlu vs bit-parallel BatchAlu
-//                              sweep backend (0 = scalar);
+//   * `batch_lanes`          — scalar IAlu vs SIMD-wide lane engine
+//                              sweep backend (0 = scalar, 1..512 =
+//                              lanes per group);
 //   * anatomy                — the sweep_anatomy/point_anatomy variants
 //                              attach an obs::Counters sink per item and
 //                              fold per percent in deterministic order;
@@ -153,7 +154,8 @@ struct SweepSpec {
   /// t, trials) and enters the counter-based trial seed by bit pattern,
   /// so a constant schedule reproduces historical results exactly and
   /// every schedule is bit-identical across threads × lanes × SIMD tiers.
-  FaultScenario scenario;
+  /// (Brace-initialised so designated initialisers may omit it.)
+  FaultScenario scenario{};
 };
 
 /// A unit of schedulable work: a flat item space whose bodies are pure
@@ -186,7 +188,7 @@ class TrialEngine {
 
   /// Evaluates `alu` at every percent in the spec. Backend selection
   /// follows parallel().batch_lanes: 0 = scalar IAlu trials, >= 1 =
-  /// bit-parallel BatchAlu lane groups; both bit-identical.
+  /// lane groups on the SIMD-wide lane engine; both bit-identical.
   [[nodiscard]] std::vector<DataPoint> sweep(
       const IAlu& alu,
       const std::vector<std::vector<Instruction>>& streams,

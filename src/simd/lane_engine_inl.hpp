@@ -11,18 +11,21 @@
 // an AVX-512 instantiation into a binary path reached on a plain-SSE
 // machine.
 //
-// The algorithms are line-for-line ports of the proven 64-lane engine:
-//   * BatchLut::read (lut/batch_lut.cpp) — mux-tree, TMR vote, Hamming
-//     syndrome decode, Hsiao/RS scalar fallback, all stats included;
-//   * Netlist::evaluate_batch (gatesim/netlist.cpp);
-//   * BatchModuleExec (alu/module_plan.hpp) driving the shared
-//     compute_single/space/time plans;
-//   * BatchedSweepBackend::run_item (the historical 64-lane group loop).
-// Porting rule: std::uint64_t lane words become LaneVec<W>, broadcasts
-// become splats, popcount(x & active) sums over lane words. Nothing else
-// may change — every tier at every W must be bit-identical to the scalar
-// trial engine, including anatomy counters (nbxcheck simd-differential,
-// tests/sim/simd_tier_test.cpp).
+// The kernels are the lane-sliced forms of the scalar engine's
+// algorithms — classic parallel-pattern fault simulation with the Monte
+// Carlo trial as the packed dimension:
+//   * LUT reads (CodedLut::read): a Shannon mux tree over the
+//     LutTables leaves, TMR vote, Hamming syndrome decode as
+//     lane-parallel predicates, Hsiao/RS through the scalar decoder for
+//     touched lanes — every LutAccessStats/anatomy counter included;
+//   * gate netlists (Netlist::evaluate), one pass for all lanes;
+//   * WideModuleExec driving the shared compute_single/space/time plans
+//     (alu/module_plan.hpp);
+//   * the group kernel: mask generation, compute and scoring of one
+//     lane group over a whole instruction stream.
+// Every tier at every W must be bit-identical to the scalar trial
+// engine, including anatomy counters (nbxcheck simd-differential,
+// tests/sim/simd_tier_test.cpp, tests/sim/batch_differential_test.cpp).
 //
 // NOTE this header has no include guard on purpose: it is included once
 // per tier TU, never from another header.
@@ -36,7 +39,6 @@
 #include "alu/module_plan.hpp"
 #include "common/batch_bitvec.hpp"
 #include "gatesim/netlist.hpp"
-#include "lut/batch_lut.hpp"
 #include "lut/coded_lut.hpp"
 #include "obs/counters.hpp"
 #include "simd/lane_kernels.hpp"
@@ -113,7 +115,8 @@ struct LaneVec {
   }
 };
 
-/// Per-lane 2:1 mux (the wide lane_blend).
+/// Per-lane 2:1 mux: lane L of the result is hi's lane where sel's lane
+/// is 1, else lo's lane.
 template <std::size_t W>
 inline LaneVec<W> blend(const LaneVec<W>& lo, const LaneVec<W>& hi,
                         const LaneVec<W>& sel) {
@@ -151,12 +154,14 @@ inline LaneVec<W> active_mask(unsigned lanes) {
 
 // --------------------------------------------------------------- mux tree
 
-// Largest mux tree: max(2^kMaxLutInputs, 2^r) leaves, same bound as the
-// 64-lane engine (lut/batch_lut.cpp).
+// Largest mux tree: max(2^kMaxLutInputs, 2^r) leaves. For k <= 6 data
+// widths the Hamming code needs r <= 7 check bits, so 128 covers both.
 constexpr std::size_t kMuxLeavesMax = 128;
 
-/// Shannon mux tree over wide lane vectors; `leaf(i)` supplies leaf i on
-/// demand so callers fuse the fault XOR into the load.
+/// Shannon mux tree over wide lane vectors: reduces 2^k leaves to one
+/// vector, one address bit per level (sel[0] = LSB first), so lane L of
+/// the result is leaf(a_L) for lane L's address a_L. `leaf(i)` supplies
+/// leaf i on demand so callers fuse the fault XOR into the load.
 template <std::size_t W, class Leaf>
 LaneVec<W> lane_mux(std::size_t k, const LaneVec<W>* sel, Leaf&& leaf) {
   if (k == 0) {
@@ -179,12 +184,16 @@ LaneVec<W> lane_mux(std::size_t k, const LaneVec<W>* sel, Leaf&& leaf) {
 
 // ------------------------------------------------------------- LUT reads
 //
-// Wide port of BatchLut::read over the BatchLut's precomputed tables.
-// `mask` is always non-null here: the group kernel owns a real (possibly
-// all-zero) mask, exactly like the historical batched backend.
+// CodedLut::read for every lane at once, over the LutTables leaves.
+// Addresses are lane-sliced (addr_bits[j] holds address bit j of every
+// lane) because after the first faulted read, ripple carries and
+// selector inputs diverge between trials. `mask` is the group's whole
+// (possibly all-zero) fault mask; this LUT's segment starts at `offset`.
+// Counters aggregate over the active lanes exactly as one scalar read
+// per lane would.
 
 template <std::size_t W>
-LaneVec<W> read_tmr(const BatchLut& t, const LaneVec<W>* addr_bits,
+LaneVec<W> read_tmr(const LutTables& t, const LaneVec<W>* addr_bits,
                     const BatchBitVec& mask, std::size_t offset,
                     const LaneVec<W>& active, LutAccessStats* stats) {
   using V = LaneVec<W>;
@@ -217,7 +226,7 @@ LaneVec<W> read_tmr(const BatchLut& t, const LaneVec<W>* addr_bits,
 }
 
 template <std::size_t W>
-LaneVec<W> read_hamming(const BatchLut& t, const LaneVec<W>* addr_bits,
+LaneVec<W> read_hamming(const LutTables& t, const LaneVec<W>* addr_bits,
                         const BatchBitVec& mask, std::size_t offset,
                         const LaneVec<W>& active, LutAccessStats* stats) {
   using V = LaneVec<W>;
@@ -302,7 +311,7 @@ LaneVec<W> read_hamming(const BatchLut& t, const LaneVec<W>* addr_bits,
 }
 
 template <std::size_t W>
-LaneVec<W> read_fallback(const BatchLut& t, const LaneVec<W>* addr_bits,
+LaneVec<W> read_fallback(const LutTables& t, const LaneVec<W>* addr_bits,
                          const BatchBitVec& mask, std::size_t offset,
                          const LaneVec<W>& active, LutAccessStats* stats,
                          BitVec& lane_mask) {
@@ -348,7 +357,7 @@ LaneVec<W> read_fallback(const BatchLut& t, const LaneVec<W>* addr_bits,
 }
 
 template <std::size_t W>
-LaneVec<W> lut_read(const BatchLut& t, const LaneVec<W>* addr_bits,
+LaneVec<W> lut_read(const LutTables& t, const LaneVec<W>* addr_bits,
                     const BatchBitVec& mask, std::size_t offset,
                     const LaneVec<W>& active, LutAccessStats* stats,
                     BitVec& lane_mask) {
@@ -380,7 +389,7 @@ LaneVec<W> lut_read(const BatchLut& t, const LaneVec<W>* addr_bits,
 
 // --------------------------------------------------------- netlist eval
 
-/// Wide port of Netlist::word_of.
+/// Lane-sliced Netlist::value_of over an eval_netlist result.
 template <std::size_t W>
 inline LaneVec<W> signal_word(Signal s, const LaneVec<W>* inputs,
                               const std::uint64_t* nodes) {
@@ -397,8 +406,8 @@ inline LaneVec<W> signal_word(Signal s, const LaneVec<W>* inputs,
   return LaneVec<W>::zero();
 }
 
-/// Wide port of Netlist::evaluate_batch: node i's lane row lands at
-/// nodes[i*W .. i*W+W).
+/// Netlist::evaluate for every lane at once, with the netlist's fault
+/// segment at `offset`: node i's lane row lands at nodes[i*W .. i*W+W).
 template <std::size_t W>
 void eval_netlist(const Netlist& nl, const LaneVec<W>* inputs,
                   const BatchBitVec& mask, std::size_t offset,
@@ -440,7 +449,7 @@ void eval_netlist(const Netlist& nl, const LaneVec<W>* inputs,
 
 // ------------------------------------------------------- cores & voters
 
-/// Wide result of one module computation (the BatchAluOutput analogue).
+/// Lane-sliced AluOutput of one module computation.
 template <std::size_t W>
 struct WideOut {
   LaneVec<W> value[8];
@@ -448,7 +457,8 @@ struct WideOut {
   LaneVec<W> disagreement;
 };
 
-/// Wide port of BatchLutCore::eval — the lane-sliced ripple carry.
+/// LutCoreAlu::eval for every lane: the 8-slice ripple carry, each
+/// slice reading its logic, sum, carry and select LUTs.
 template <std::size_t W>
 void eval_lut_core(const WideLutBlock& blk, Opcode op, std::uint8_t a,
                    std::uint8_t b, const BatchBitVec& mask,
@@ -486,7 +496,8 @@ void eval_lut_core(const WideLutBlock& blk, Opcode op, std::uint8_t a,
   }
 }
 
-/// Wide port of BatchCmosCore::eval.
+/// CmosCoreAlu::eval for every lane: one netlist pass over the 19
+/// inputs (a, b, opcode).
 template <std::size_t W>
 void eval_cmos_core(const WideMirror::Core& core, Opcode op, std::uint8_t a,
                     std::uint8_t b, const BatchBitVec& mask,
@@ -508,7 +519,9 @@ void eval_cmos_core(const WideMirror::Core& core, Opcode op, std::uint8_t a,
   }
 }
 
-/// Wide port of account_batch_vote (alu/batch_alu.cpp).
+/// Module-level vote anatomy for every lane: copies that disagree with
+/// the bitwise majority, and voter outputs that differ from it (a voter
+/// self-fault, or `valid_self` for the valid flag).
 template <std::size_t W>
 void account_vote(ModuleStats* stats, const LaneVec<W> x[8],
                   const LaneVec<W> y[8], const LaneVec<W> z[8],
@@ -536,7 +549,7 @@ void account_vote(ModuleStats* stats, const LaneVec<W> x[8],
   m.voter_self_faults += popcnt(self, active);
 }
 
-/// Wide port of BatchLutVoter::vote.
+/// LutVoter::vote for every lane: 8 value LUTs and the valid LUT.
 template <std::size_t W>
 void lut_vote(const WideLutBlock& blk, const LaneVec<W> x[8],
               const LaneVec<W> y[8], const LaneVec<W> z[8],
@@ -568,7 +581,8 @@ void lut_vote(const WideLutBlock& blk, const LaneVec<W> x[8],
   }
 }
 
-/// Wide port of BatchCmosVoter::vote.
+/// CmosVoter::vote for every lane: one netlist pass over the three
+/// 8-bit copies.
 template <std::size_t W>
 void cmos_vote(const WideMirror::Voter& voter, const LaneVec<W> x[8],
                const LaneVec<W> y[8], const LaneVec<W> z[8],
@@ -597,8 +611,8 @@ void cmos_vote(const WideMirror::Voter& voter, const LaneVec<W> x[8],
 // ------------------------------------------------------ module execution
 
 /// Wide execution context for the shared module plan
-/// (plan::compute_single/space/time in alu/module_plan.hpp) — the
-/// BatchModuleExec analogue at W lane words.
+/// (plan::compute_single/space/time in alu/module_plan.hpp) at W lane
+/// words; the lane-sliced counterpart of plan::ScalarModuleExec.
 template <std::size_t W>
 struct WideModuleExec {
   struct Result {
@@ -658,7 +672,7 @@ struct WideModuleExec {
                   voter_off, active, *out, stats, *lane_mask);
     } else {
       // The CMOS module has no data-valid datapath (v[] unused), exactly
-      // like BatchCmosVoter.
+      // like the scalar CmosVoter.
       cmos_vote<W>(vt, r[0].w, r[1].w, r[2].w, *mask, voter_off, active,
                    *out, stats, nodes);
     }
@@ -673,8 +687,11 @@ struct WideModuleExec {
   }
 };
 
-/// Wide port of plan::compute_lanes_via_scalar — the per-lane scalar
-/// bridge for module structures without a word-parallel mirror.
+/// The per-lane scalar bridge for module structures without a
+/// word-parallel mirror: each active lane's mask column is extracted and
+/// run through IAlu::compute, and the outputs are scattered back into
+/// the lane-sliced result. compute() accounts its own per-lane stats,
+/// so the aggregate counters equal the sum of the scalar runs.
 template <std::size_t W>
 void compute_lanes_scalar(const IAlu& alu, Opcode op, std::uint8_t a,
                           std::uint8_t b, const BatchBitVec& mask,
@@ -714,8 +731,9 @@ void compute_lanes_scalar(const IAlu& alu, Opcode op, std::uint8_t a,
 
 // ---------------------------------------------------------- group kernel
 
-/// One lane group end to end: the wide port of the historical
-/// BatchedSweepBackend::run_item body (sim/trial_engine.cpp, PR 2).
+/// One lane group end to end: per instruction, generate every lane's
+/// fault mask, compute, and count each lane's incorrect results (the
+/// lane-sliced form of the scalar run_trial loop in sim/trial_engine.cpp).
 template <std::size_t W>
 void run_group_impl(const WideGroupJob& job) {
   using V = LaneVec<W>;

@@ -1,13 +1,70 @@
 #include "simd/wide_mirror.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "alu/cmos_core_alu.hpp"
 #include "alu/lut_core_alu.hpp"
 #include "alu/module_alu.hpp"
 #include "alu/voter.hpp"
+#include "common/batch_bitvec.hpp"
 
 namespace nbx::simd {
+
+LutTables::LutTables(const CodedLut& lut)
+    : lut_(&lut), coding_(lut.coding()), k_(lut.inputs()),
+      n_(lut.table_bits()), sites_(lut.fault_sites()) {
+  const BitVec& tt = lut.golden_table();
+  golden_.resize(n_);
+  for (std::size_t s = 0; s < n_; ++s) {
+    golden_[s] = lane_broadcast(tt.get(s));
+  }
+  if (coding_ != LutCoding::kHamming &&
+      coding_ != LutCoding::kHammingIdeal) {
+    return;
+  }
+  // The golden stored string is a codeword, so the syndrome of the
+  // faulted string is a function of the mask alone: syndrome bit j is
+  // the XOR of the mask bits in check group j. Precompute those site
+  // lists plus the mux leaves that map lane addresses to codeword
+  // positions and lane syndromes to the data/non-data classification.
+  const HammingCode code(n_);
+  r_ = code.check_bits();
+  syndrome_sites_.resize(r_);
+  for (std::size_t d = 0; d < n_; ++d) {
+    const std::uint32_t p = code.position_of_data(d);
+    for (std::size_t j = 0; j < r_; ++j) {
+      if (p & (1u << j)) {
+        syndrome_sites_[j].push_back(static_cast<std::uint32_t>(d));
+      }
+    }
+  }
+  for (std::size_t j = 0; j < r_; ++j) {
+    syndrome_sites_[j].push_back(static_cast<std::uint32_t>(n_ + j));
+  }
+  pos_leaves_.assign(r_, std::vector<std::uint64_t>(n_));
+  for (std::size_t a = 0; a < n_; ++a) {
+    const std::uint32_t p = code.position_of_data(a);
+    for (std::size_t j = 0; j < r_; ++j) {
+      pos_leaves_[j][a] = lane_broadcast((p >> j) & 1u);
+    }
+  }
+  const std::size_t cw = code.codeword_bits();
+  is_data_leaves_.resize(std::size_t{1} << r_);
+  for (std::size_t s = 0; s < is_data_leaves_.size(); ++s) {
+    // Mirrors HammingCode::decode: a data position is a nonzero
+    // in-codeword syndrome that is not a power of two (check position).
+    is_data_leaves_[s] =
+        lane_broadcast(s >= 1 && s <= cw && !std::has_single_bit(s));
+  }
+}
+
+std::size_t LutTables::tmr_site(std::size_t copy, std::size_t entry) const {
+  if (coding_ == LutCoding::kTmrInterleaved) {
+    return entry * 3 + copy;
+  }
+  return copy * n_ + entry;
+}
 
 namespace {
 

@@ -14,7 +14,8 @@
 //     Hamming, TMR, Hsiao, ideal-Hamming, interleaved TMR,
 //     Reed-Solomon, the gate-level TMR read path and the CMOS netlist —
 //     produces DataPoints and anatomy counters bit-identical to the
-//     scalar trial engine under every tier.
+//     scalar trial engine under every tier, at a sparse (2%) and a
+//     dense (50%) fault rate.
 //
 // Tiers the binary or the CPU cannot run are GTEST_SKIPped (visible in
 // the log), never silently passed: a green run on an AVX-512 machine
@@ -114,8 +115,11 @@ void run_decode_coverage(simd::SimdTier tier) {
     GTEST_SKIP() << "tier '" << simd::tier_name(tier)
                  << "' not compiled in or not supported by this CPU";
   }
+  // 50% is the dense regime: multi-bit masks give invalid Hamming
+  // syndromes and false-positive corrections, and touch nearly every
+  // Hsiao/Reed-Solomon segment so those lanes take the scalar decoder.
   SweepSpec spec;
-  spec.percents = {2.0};
+  spec.percents = {2.0, 50.0};
   spec.trials_per_workload = 2;
   spec.seed = 20260808;
   const auto streams = paper_streams(spec.seed);
