@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
   std::printf("\nhit rate %.4f   p99 speedup %.1fx   %.0f cached specs/s\n",
               hit_rate, speedup_p99, specs_per_second);
   std::printf("service: %llu requests, %llu hits, %llu misses, "
-              "%llu jobs, %llu shards\n",
+              "%llu jobs, %llu engine runs\n",
               static_cast<unsigned long long>(stats.requests),
               static_cast<unsigned long long>(stats.hits),
               static_cast<unsigned long long>(stats.misses),

@@ -1,16 +1,16 @@
 // serve_oracle.cpp — the serve-differential property family.
 //
 // The nbxd service's whole value proposition is "the daemon is the
-// engine": a sweep served from the worker pool — sharded, coalesced,
-// cached — must be *byte-identical* to a direct TrialEngine run of the
-// same spec. This family generates SweepSpecs, drives them through a
-// live in-process SweepService, and compares the rendered response
-// against a locally-rendered direct-engine record:
+// engine": a sweep served from the worker pool — computed by one
+// TrialEngine run on a `workers`-wide pool, coalesced, cached — must be
+// *byte-identical* to a direct serial TrialEngine run of the same spec.
+// This family generates SweepSpecs, drives them through a live
+// in-process SweepService, and compares the rendered response against a
+// locally-rendered direct-engine record:
 //
 //   * first submission: response bytes == render_ok_response(direct run)
-//     — points AND anatomy counters, through generated worker counts and
-//     shard sizes (min_items_per_shard down to 1 forces many-shard
-//     merges);
+//     — points AND anatomy counters, through generated worker counts
+//     (1..3, so the service's engine runs serial and threaded);
 //   * resubmission: the cache must return the identical bytes, and the
 //     service stats must show exactly one computed job;
 //   * a corrupted copy of the request payload (strict truncation, a
@@ -58,7 +58,6 @@ struct ServeCase {
   double end_factor = 1.0;
   double shape = 1.0;
   unsigned workers = 2;      // service worker threads (1..3)
-  std::size_t min_shard = 1;  // min items per shard; 1 forces sharding
   std::string corrupt = "none";  // none | truncate | bitflip | garbage
   std::uint64_t corrupt_seed = 0;
 };
@@ -91,7 +90,6 @@ ServeCase generate_serve_case(Gen& g) {
     c.shape = g.pick({0.5, 2.0});
   }
   c.workers = static_cast<unsigned>(g.in_range(1, 3));
-  c.min_shard = g.in_range(1, 8);
   c.corrupt = g.pick({std::string("none"), std::string("truncate"),
                       std::string("bitflip"), std::string("garbage")});
   c.corrupt_seed = g.u64();
@@ -112,8 +110,7 @@ std::string serve_case_json(const ServeCase& c) {
      << ", \"schedule\": \"" << c.schedule
      << "\", \"end_factor\": " << json_double(c.end_factor)
      << ", \"shape\": " << json_double(c.shape)
-     << ", \"workers\": " << c.workers
-     << ", \"min_shard\": " << c.min_shard << ", \"corrupt\": \""
+     << ", \"workers\": " << c.workers << ", \"corrupt\": \""
      << c.corrupt << "\", \"corrupt_seed\": " << c.corrupt_seed << "}";
   return os.str();
 }
@@ -149,8 +146,6 @@ std::optional<ServeCase> serve_case_from_json(const JsonValue& doc) {
       need(doc, "end_factor", JsonValue::Kind::kNumber);
   const JsonValue* shape = need(doc, "shape", JsonValue::Kind::kNumber);
   const JsonValue* workers = need(doc, "workers", JsonValue::Kind::kNumber);
-  const JsonValue* min_shard =
-      need(doc, "min_shard", JsonValue::Kind::kNumber);
   const JsonValue* corrupt = need(doc, "corrupt", JsonValue::Kind::kString);
   const JsonValue* corrupt_seed =
       need(doc, "corrupt_seed", JsonValue::Kind::kNumber);
@@ -158,8 +153,7 @@ std::optional<ServeCase> serve_case_from_json(const JsonValue& doc) {
       seed == nullptr || policy == nullptr || burst == nullptr ||
       scope == nullptr || dp == nullptr || schedule == nullptr ||
       end_factor == nullptr || shape == nullptr || workers == nullptr ||
-      min_shard == nullptr || corrupt == nullptr ||
-      corrupt_seed == nullptr) {
+      corrupt == nullptr || corrupt_seed == nullptr) {
     return std::nullopt;
   }
   ServeCase c;
@@ -180,8 +174,6 @@ std::optional<ServeCase> serve_case_from_json(const JsonValue& doc) {
   c.end_factor = end_factor->as_double().value_or(1.0);
   c.shape = shape->as_double().value_or(1.0);
   c.workers = static_cast<unsigned>(workers->as_u64().value_or(1));
-  c.min_shard =
-      static_cast<std::size_t>(min_shard->as_u64().value_or(1));
   c.corrupt = corrupt->as_string();
   c.corrupt_seed = corrupt_seed->as_u64().value_or(0);
   return c;
@@ -222,8 +214,7 @@ std::optional<serve::SweepRequest> case_request(const ServeCase& c,
     *why = "invalid case: datapath_sites out of range";
     return std::nullopt;
   }
-  if (c.percents.empty() || c.trials < 1 || c.workers < 1 ||
-      c.min_shard < 1) {
+  if (c.percents.empty() || c.trials < 1 || c.workers < 1) {
     *why = "invalid case: empty percents or non-positive knob";
     return std::nullopt;
   }
@@ -270,12 +261,10 @@ std::optional<std::string> run_serve_case(const ServeCase& c) {
   serve::render_ok_response(expected, serve::request_fingerprint(*req),
                             record);
 
-  // A live service with generated worker count and shard granularity.
+  // A live service with the generated worker count (and engine width).
   serve::ServiceConfig cfg;
   cfg.workers = c.workers;
-  cfg.shard_threads = c.workers;
   cfg.max_queue = 64;
-  cfg.min_items_per_shard = c.min_shard;
   serve::SweepService service(cfg);
   const std::string payload = serve::render_sweep_request(*req);
 
@@ -397,11 +386,6 @@ std::vector<ServeCase> shrink_serve_case(const ServeCase& c) {
   if (c.workers > 1) {
     ServeCase s = c;
     s.workers = 1;
-    out.push_back(std::move(s));
-  }
-  if (c.min_shard > 1) {
-    ServeCase s = c;
-    s.min_shard = 1;
     out.push_back(std::move(s));
   }
   if (c.seed != 0) {

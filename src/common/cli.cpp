@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace nbx {
@@ -60,8 +61,10 @@ std::optional<std::int64_t> CliArgs::get_int(const std::string& name) const {
     return std::nullopt;
   }
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  // Out-of-range text is unparsable, not silently clamped to INT64_MAX.
+  if (end == nullptr || *end != '\0' || errno == ERANGE) {
     return std::nullopt;
   }
   return v;

@@ -7,8 +7,8 @@
 #include <stdexcept>
 
 #include "alu/alu_factory.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
+#include "sim/trial_engine.hpp"
 
 namespace nbx::serve {
 
@@ -42,7 +42,6 @@ struct SweepService::AtomicStats {
 SweepService::SweepService(const ServiceConfig& cfg)
     : cfg_(cfg), stats_(std::make_unique<AtomicStats>()) {
   cfg_.workers = std::max(cfg_.workers, 1u);
-  cfg_.min_items_per_shard = std::max<std::size_t>(cfg_.min_items_per_shard, 1);
   cfg_.max_cache_entries = std::max<std::size_t>(cfg_.max_cache_entries, 1);
   if (obs::MetricsRegistry* reg = obs::metrics()) {
     m_.requests = &reg->counter("nbxd_requests_total");
@@ -52,7 +51,6 @@ SweepService::SweepService(const ServiceConfig& cfg)
     m_.shed = &reg->counter("nbxd_shed_total");
     m_.errors = &reg->counter("nbxd_errors_total");
     m_.jobs = &reg->counter("nbxd_compute_jobs_total");
-    m_.shards = &reg->counter("nbxd_shards_total");
     m_.queue_depth = &reg->gauge("nbxd_queue_depth");
     m_.cache_entries = &reg->gauge("nbxd_cache_entries");
     m_.hit_us = &reg->histogram("nbxd_hit_latency_us");
@@ -311,63 +309,16 @@ SweepRecord SweepService::compute(const SweepRequest& req) {
   if (alu == nullptr) {
     throw std::runtime_error("alu construction failed");
   }
-  const std::vector<std::vector<Instruction>> streams =
-      paper_streams(req.spec.seed);
-  const std::size_t items = sweep_item_count(streams, req.spec);
-  const std::size_t per_percent = items / req.spec.percents.size();
-  std::vector<double> samples(items, 0.0);
-  std::vector<obs::Counters> per_item(items);
-
-  // Shard by contiguous item range. Every shard writes only its own
-  // absolute slots and every cell's seed is a pure function of its
-  // coordinates, so any shard count — including 1 — re-merges
-  // bit-identically with a direct TrialEngine run.
-  const unsigned pool_threads = resolve_threads(
-      cfg_.shard_threads != 0 ? cfg_.shard_threads : cfg_.workers);
-  std::size_t shards = 1;
-  if (pool_threads > 1 && items >= 2 * cfg_.min_items_per_shard) {
-    shards = std::min<std::size_t>(items / cfg_.min_items_per_shard,
-                                   std::size_t{pool_threads} * 4);
-  }
-  if (shards <= 1) {
-    run_sweep_items(*alu, streams, req.spec, 0, items, samples.data(),
-                    per_item.data());
-    stats_->shards_executed.fetch_add(1, std::memory_order_relaxed);
-    if (m_.shards != nullptr) {
-      m_.shards->increment();
-    }
-  } else {
-    const std::size_t per_shard = (items + shards - 1) / shards;
-    ThreadPool pool(pool_threads);
-    pool.parallel_for(shards, 1, [&](std::size_t s) {
-      const std::size_t first = s * per_shard;
-      const std::size_t last = std::min(items, first + per_shard);
-      if (first < last) {
-        run_sweep_items(*alu, streams, req.spec, first, last,
-                        samples.data(), per_item.data());
-      }
-    });
-    stats_->shards_executed.fetch_add(shards, std::memory_order_relaxed);
-    if (m_.shards != nullptr) {
-      m_.shards->add(shards);
-    }
-  }
-
-  // Re-merge: the engine's own fold per percent (index order), plus the
-  // per-percent anatomy sums merged in index order — both exactly what
-  // TrialEngine::sweep_anatomy does, so the record is bit-identical.
+  // One engine run on a workers-wide pool: the scheduling and fold every
+  // bench and CLI uses, so the record is a direct TrialEngine result.
+  const TrialEngine engine{ParallelConfig{cfg_.workers, 0}};
+  SweepAnatomy run =
+      engine.sweep_anatomy(*alu, paper_streams(req.spec.seed), req.spec);
+  stats_->shards_executed.fetch_add(1, std::memory_order_relaxed);
   SweepRecord record;
   record.alu = req.alu;
-  record.points.reserve(req.spec.percents.size());
-  record.point_metrics.assign(req.spec.percents.size(), obs::Counters{});
-  for (std::size_t pi = 0; pi < req.spec.percents.size(); ++pi) {
-    record.points.push_back(
-        fold_sweep_samples(req.alu, req.spec.percents[pi],
-                           samples.data() + pi * per_percent, per_percent));
-    for (std::size_t i = 0; i < per_percent; ++i) {
-      record.point_metrics[pi] += per_item[pi * per_percent + i];
-    }
-  }
+  record.points = std::move(run.points);
+  record.point_metrics = std::move(run.metrics);
   return record;
 }
 

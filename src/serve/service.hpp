@@ -1,5 +1,5 @@
 // service.hpp — the nbxd sweep service: content-addressed cache,
-// single-flight coalescing, sharded compute, admission control.
+// single-flight coalescing, engine-backed compute, admission control.
 //
 // Everything this simulator computes is a pure function of a SweepSpec:
 // counter-based seeding (MaskGenerator::trial_seed) makes every
@@ -15,10 +15,10 @@
 //   * single-flight coalescing — duplicate specs in flight share one
 //     computation: followers block on the leader's Flight and receive
 //     the identical bytes (exactly-one compute per unique fingerprint);
-//   * shard-and-merge — large sweeps split by item range over the flat
-//     [percent][workload][trial] grid (run_sweep_items) across a thread
-//     pool and re-fold with the engine's own fold, bit-identical to a
-//     direct TrialEngine run by construction.
+//   * one engine run per job — a cold spec is computed by one
+//     TrialEngine::sweep_anatomy call (scalar backend) on a
+//     `workers`-wide pool, so the served record *is* a direct engine
+//     result, bit-identical for every worker count.
 //
 // Admission control bounds the compute queue: when it is full, new
 // unique specs are shed with a structured retry-after response (cache
@@ -51,12 +51,9 @@ namespace nbx::serve {
 
 /// Tuning knobs for one SweepService.
 struct ServiceConfig {
-  unsigned workers = 2;        ///< compute worker threads (>= 1)
-  unsigned shard_threads = 0;  ///< per-job shard pool width; 0 = workers
+  /// Compute worker threads (>= 1); also each job's engine pool width.
+  unsigned workers = 2;
   std::size_t max_queue = 16;  ///< queued jobs before load-shedding
-  /// Minimum items per shard: jobs smaller than two shards' worth run
-  /// unsharded (shard bookkeeping would dominate).
-  std::size_t min_items_per_shard = 32;
   std::size_t max_cache_entries = 4096;  ///< FIFO-evicted beyond this
   std::uint32_t retry_after_ms = 50;     ///< hint in shed responses
 };
@@ -72,7 +69,9 @@ struct ServiceStats {
   std::uint64_t shed = 0;       ///< rejected by admission control
   std::uint64_t errors = 0;     ///< structured error responses
   std::uint64_t jobs_computed = 0;    ///< compute jobs finished
-  std::uint64_t shards_executed = 0;  ///< run_sweep_items shards run
+  /// TrialEngine runs: one per successfully computed job. Reported as
+  /// `shards_executed` by the stats request and bench_serve's JSON.
+  std::uint64_t shards_executed = 0;
   std::uint64_t pings = 0;
   std::uint64_t stats_requests = 0;
   std::size_t queue_depth = 0;    ///< jobs waiting right now
@@ -157,7 +156,6 @@ class SweepService {
     obs::MetricCounter* shed = nullptr;
     obs::MetricCounter* errors = nullptr;
     obs::MetricCounter* jobs = nullptr;
-    obs::MetricCounter* shards = nullptr;
     obs::MetricGauge* queue_depth = nullptr;
     obs::MetricGauge* cache_entries = nullptr;
     obs::MetricHistogram* hit_us = nullptr;

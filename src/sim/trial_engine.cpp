@@ -124,50 +124,6 @@ void account_scenario(obs::Counters& c, const SweepSpec& spec,
       static_cast<std::uint64_t>(instructions);
 }
 
-// One (percent, workload, trial) cell of the flat
-// [percent][workload][trial] grid: decompose the index, derive the
-// counter-based seed, run the trial into the cell's absolute sample /
-// counter slot. Shared verbatim by the in-engine scalar backend and the
-// public shard surface (run_sweep_items), which is what makes
-// out-of-engine shard-and-merge bit-identical by construction.
-void run_one_sweep_item(const IAlu& alu,
-                        const std::vector<std::vector<Instruction>>& streams,
-                        const SweepSpec& spec, std::uint64_t alu_hash,
-                        std::size_t trials, std::size_t per_percent,
-                        std::size_t i, double* samples,
-                        obs::Counters* per_item) {
-  const std::size_t pi = i / per_percent;
-  const std::size_t w = (i % per_percent) / trials;
-  const std::size_t t = i % trials;
-  // The scenario's rate schedule maps (base percent, trial index) to
-  // this trial's effective rate; the effective rate seeds the trial by
-  // bit pattern, so a constant schedule reproduces the i.i.d. model's
-  // seeds — and therefore its results — exactly.
-  const double effective =
-      spec.scenario.schedule.at(spec.percents[pi], t, trials);
-  TrialConfig cfg;
-  cfg.fault_percent = effective;
-  cfg.policy = spec.policy;
-  cfg.burst_length = spec.burst_length;
-  cfg.scope = spec.scope;
-  cfg.datapath_sites = spec.datapath_sites;
-  cfg.burst_rows = spec.scenario.burst_rows;
-  cfg.burst_row_stride = spec.scenario.burst_row_stride;
-  Rng rng(MaskGenerator::trial_seed(spec.seed, alu_hash, effective, w, t));
-  obs::Counters* sink = per_item != nullptr ? &per_item[i] : nullptr;
-  samples[i] = run_trial(alu, streams[w], cfg, rng, sink).percent_correct;
-  if (sink != nullptr) {
-    const std::size_t inject_sites =
-        spec.scope == InjectionScope::kDatapathOnly ? spec.datapath_sites
-                                                    : alu.fault_sites();
-    const MaskGenerator gen(inject_sites, effective, spec.policy,
-                            spec.burst_length, spec.scenario.burst_rows,
-                            spec.scenario.burst_row_stride);
-    account_scenario(*sink, spec, spec.percents[pi], effective, gen,
-                     streams[w].size());
-  }
-}
-
 // The scalar sweep backend: one item = one (percent, workload, trial)
 // cell of the grid, indexed [percent][workload][trial] flattened. Every
 // cell's RNG seed is a pure function of its coordinates
@@ -188,9 +144,36 @@ struct ScalarSweepBackend {
   [[nodiscard]] std::string_view stage() const { return "trial"; }
 
   void run_item(std::size_t i) const {
-    run_one_sweep_item(alu, streams, spec, alu_hash, trials, per_percent, i,
-                       samples.data(),
-                       per_item != nullptr ? per_item->data() : nullptr);
+    const std::size_t pi = i / per_percent;
+    const std::size_t w = (i % per_percent) / trials;
+    const std::size_t t = i % trials;
+    // The scenario's rate schedule maps (base percent, trial index) to
+    // this trial's effective rate; the effective rate seeds the trial by
+    // bit pattern, so a constant schedule reproduces the i.i.d. model's
+    // seeds — and therefore its results — exactly.
+    const double effective =
+        spec.scenario.schedule.at(spec.percents[pi], t, trials);
+    TrialConfig cfg;
+    cfg.fault_percent = effective;
+    cfg.policy = spec.policy;
+    cfg.burst_length = spec.burst_length;
+    cfg.scope = spec.scope;
+    cfg.datapath_sites = spec.datapath_sites;
+    cfg.burst_rows = spec.scenario.burst_rows;
+    cfg.burst_row_stride = spec.scenario.burst_row_stride;
+    Rng rng(MaskGenerator::trial_seed(spec.seed, alu_hash, effective, w, t));
+    obs::Counters* sink = per_item != nullptr ? &(*per_item)[i] : nullptr;
+    samples[i] = run_trial(alu, streams[w], cfg, rng, sink).percent_correct;
+    if (sink != nullptr) {
+      const std::size_t inject_sites =
+          spec.scope == InjectionScope::kDatapathOnly ? spec.datapath_sites
+                                                      : alu.fault_sites();
+      const MaskGenerator gen(inject_sites, effective, spec.policy,
+                              spec.burst_length, spec.scenario.burst_rows,
+                              spec.scenario.burst_row_stride);
+      account_scenario(*sink, spec, spec.percents[pi], effective, gen,
+                       streams[w].size());
+    }
   }
 };
 
@@ -325,6 +308,26 @@ struct WideSweepBackend {
   }
 };
 
+// Folds one percent's samples (its contiguous workloads × trials slice
+// of the flat grid) into a DataPoint in index order, so the accumulation
+// — and every double it produces — is independent of which threads ran
+// the items.
+DataPoint fold_sweep_samples(std::string_view alu_name, double fault_percent,
+                             const double* samples, std::size_t count) {
+  RunningStats stats;
+  for (std::size_t i = 0; i < count; ++i) {
+    stats.add(samples[i]);
+  }
+  DataPoint p;
+  p.alu = std::string(alu_name);
+  p.fault_percent = fault_percent;
+  p.mean_percent_correct = stats.mean();
+  p.stddev = stats.stddev();
+  p.ci95 = ci95_half_width(stats.stddev(), stats.count());
+  p.samples = stats.count();
+  return p;
+}
+
 // Runs the grid through whichever sweep backend parallel().batch_lanes
 // selects; returns one percent_correct sample per (percent, workload,
 // trial) cell plus, when `anatomy` is non-null, per-percent counter
@@ -439,10 +442,7 @@ std::vector<double> run_grid(
 }
 
 // One engine pass over every percent in the spec: grid + per-percent
-// fold (under the "fold" profiler stage; fold_sweep_samples is the
-// public fold — fixed workload-major order, so the floating-point
-// accumulation is identical to the serial path regardless of which
-// threads produced the samples).
+// fold (under the "fold" profiler stage).
 SweepAnatomy run_chunk(const TrialEngine& engine, const IAlu& alu,
                        const std::vector<std::vector<Instruction>>& streams,
                        const SweepSpec& spec, bool want_anatomy) {
@@ -466,43 +466,6 @@ SweepAnatomy run_chunk(const TrialEngine& engine, const IAlu& alu,
 }
 
 }  // namespace
-
-std::size_t sweep_item_count(
-    const std::vector<std::vector<Instruction>>& streams,
-    const SweepSpec& spec) {
-  return spec.percents.size() * streams.size() *
-         static_cast<std::size_t>(spec.trials_per_workload);
-}
-
-void run_sweep_items(const IAlu& alu,
-                     const std::vector<std::vector<Instruction>>& streams,
-                     const SweepSpec& spec, std::size_t first,
-                     std::size_t last, double* samples,
-                     obs::Counters* per_item) {
-  const auto trials = static_cast<std::size_t>(spec.trials_per_workload);
-  const std::size_t per_percent = streams.size() * trials;
-  const std::uint64_t alu_hash = fnv1a64(alu.name());
-  for (std::size_t i = first; i < last; ++i) {
-    run_one_sweep_item(alu, streams, spec, alu_hash, trials, per_percent, i,
-                       samples, per_item);
-  }
-}
-
-DataPoint fold_sweep_samples(std::string_view alu_name, double fault_percent,
-                             const double* samples, std::size_t count) {
-  RunningStats stats;
-  for (std::size_t i = 0; i < count; ++i) {
-    stats.add(samples[i]);
-  }
-  DataPoint p;
-  p.alu = std::string(alu_name);
-  p.fault_percent = fault_percent;
-  p.mean_percent_correct = stats.mean();
-  p.stddev = stats.stddev();
-  p.ci95 = ci95_half_width(stats.stddev(), stats.count());
-  p.samples = stats.count();
-  return p;
-}
 
 SweepAnatomy TrialEngine::run_spec(
     const IAlu& alu, const std::vector<std::vector<Instruction>>& streams,

@@ -25,7 +25,8 @@
 // (MaskGenerator::trial_seed), so every thread count and schedule is
 // bit-identical. The single-ALU sweep backends (scalar and batched) live
 // behind sweep()/point(); system-level grid simulation reuses the same
-// engine through grid/grid_trials.hpp.
+// engine through grid/grid_trials.hpp, and the nbxd service (src/serve/)
+// computes each cold request as one sweep_anatomy() call.
 #pragma once
 
 #include <concepts>
@@ -249,45 +250,6 @@ class TrialEngine {
   ParallelConfig par_;
   std::function<void()> on_point_;
 };
-
-// ------------------------------------------------------------------
-// Sweep shard surface.
-//
-// The scalar sweep's flat [percent][workload][trial] item space, exposed
-// as a public primitive so out-of-engine executors — the nbxd serve
-// worker pool (src/serve/) shards a sweep by item range across workers —
-// can run any contiguous slice and re-merge bit-identically with an
-// in-engine run. Every item's RNG seed is a pure function of its
-// coordinates (MaskGenerator::trial_seed), every item writes only its
-// own absolute slot, and the fold accumulates slots in index order, so
-// `run_sweep_items` over any partition of [0, sweep_item_count) followed
-// by `fold_sweep_samples` per percent reproduces
-// TrialEngine::sweep_anatomy (scalar backend) bit for bit.
-
-/// Number of items in the flat scalar sweep grid:
-/// percents × workloads × trials_per_workload.
-[[nodiscard]] std::size_t sweep_item_count(
-    const std::vector<std::vector<Instruction>>& streams,
-    const SweepSpec& spec);
-
-/// Runs items [first, last) of the flat grid. `samples` (and `per_item`,
-/// when non-null) are *absolute-indexed* arrays of sweep_item_count()
-/// slots: item i writes samples[i] / per_item[i] only, so disjoint
-/// shards may target the same arrays from different threads.
-void run_sweep_items(const IAlu& alu,
-                     const std::vector<std::vector<Instruction>>& streams,
-                     const SweepSpec& spec, std::size_t first,
-                     std::size_t last, double* samples,
-                     obs::Counters* per_item = nullptr);
-
-/// Folds one percent's samples (its contiguous workloads × trials slice
-/// of the flat grid) into a DataPoint in index order — the exact
-/// accumulation the engine performs, so shard-and-merge folds match the
-/// engine's doubles bit for bit.
-[[nodiscard]] DataPoint fold_sweep_samples(std::string_view alu_name,
-                                           double fault_percent,
-                                           const double* samples,
-                                           std::size_t count);
 
 /// The paper's two workload streams over the standard 64-pixel image.
 std::vector<std::vector<Instruction>> paper_streams(std::uint64_t seed = 42);

@@ -103,8 +103,11 @@ std::vector<std::uint8_t> encode_stream(
     const std::vector<Instruction>& stream) {
   std::vector<std::uint8_t> bytes;
   bytes.reserve(kHeaderBytes + kRecordBytes * stream.size() + 1);
-  bytes.insert(bytes.end(), std::begin(kStreamMagic),
-               std::end(kStreamMagic));
+  // Byte-wise appends: a range insert into the fresh buffer trips a
+  // -Wstringop-overflow false positive in GCC 12's libstdc++.
+  for (const std::uint8_t m : kStreamMagic) {
+    bytes.push_back(m);
+  }
   bytes.push_back(kStreamVersion);
   const auto count = static_cast<std::uint32_t>(stream.size());
   for (int shift = 0; shift < 32; shift += 8) {

@@ -52,9 +52,10 @@ TEST(Cli, PositionalArguments) {
 
 TEST(Cli, IntParsing) {
   const CliArgs args = parse({"p", "--n", "42", "--bad", "4x2", "--neg",
-                              "-7"});
+                              "-7", "--huge", "99999999999999999999"});
   EXPECT_EQ(args.get_int("n"), 42);
   EXPECT_FALSE(args.get_int("bad").has_value());
+  EXPECT_FALSE(args.get_int("huge").has_value());  // no INT64_MAX clamp
   EXPECT_EQ(args.get_int("neg", 0), -7);
   EXPECT_FALSE(args.get_int("absent").has_value());
   EXPECT_EQ(args.get_int("absent", 9), 9);

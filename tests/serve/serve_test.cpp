@@ -54,6 +54,21 @@ SweepRequest small_request(std::uint64_t seed, int trials = 2) {
   return req;
 }
 
+// The canonical rendering of a direct serial scalar engine run — what
+// the daemon must serve byte for byte.
+std::string direct_render(const SweepRequest& req) {
+  const auto alu = make_alu(req.alu);
+  const SweepAnatomy direct = TrialEngine{ParallelConfig{}}.sweep_anatomy(
+      *alu, paper_streams(req.spec.seed), req.spec);
+  SweepRecord record;
+  record.alu = req.alu;
+  record.points = direct.points;
+  record.point_metrics = direct.metrics;
+  std::string out;
+  render_ok_response(out, request_fingerprint(req), record);
+  return out;
+}
+
 std::string status_of(const std::string& payload) {
   const auto doc = check::JsonValue::parse(payload);
   if (!doc.has_value() || !doc->is_object()) {
@@ -117,22 +132,27 @@ TEST(ServeSmoke, ConcurrentClientsAreByteIdenticalAndComputeOnce) {
 
   // The served bytes equal the canonical rendering of a direct scalar
   // engine run — the daemon is the engine.
-  const SweepRequest req = small_request(9000);
-  const auto alu = make_alu(req.alu);
-  ASSERT_NE(alu, nullptr);
-  TrialEngine engine{ParallelConfig{}};
-  const SweepAnatomy direct =
-      engine.sweep_anatomy(*alu, paper_streams(req.spec.seed), req.spec);
-  SweepRecord record;
-  record.alu = req.alu;
-  record.points = direct.points;
-  record.point_metrics = direct.metrics;
-  std::string expected;
-  render_ok_response(expected, request_fingerprint(req), record);
-  EXPECT_EQ(responses[0], expected);
+  EXPECT_EQ(responses[0], direct_render(small_request(9000)));
 
   server.stop();
   EXPECT_FALSE(server.running());
+}
+
+TEST(ServeSmoke, EachJobIsOneEngineRunOnAWorkersWidePool) {
+  // 2 percents x 2 workloads x 64 trials = 256 items: enough to spread
+  // over a 3-thread engine pool, whose bytes must still equal a serial
+  // direct run — in exactly one engine run for the one job.
+  ServiceConfig cfg;
+  cfg.workers = 3;
+  SweepService service(cfg);
+  SweepRequest req = small_request(77, /*trials=*/64);
+  req.spec.percents = {1.0, 2.0};
+  std::string served;
+  ASSERT_EQ(service.serve(req, served), SweepService::Status::kOk) << served;
+  EXPECT_EQ(served, direct_render(req));
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.jobs_computed, 1u);
+  EXPECT_EQ(stats.shards_executed, 1u);
 }
 
 TEST(ServeSmoke, DuplicatesInFlightCoalesceToOneComputation) {
