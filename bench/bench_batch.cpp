@@ -82,6 +82,7 @@ int main(int argc, char** argv) {
   const auto streams = paper_streams(seed);
   ParallelConfig scalar_par;
   scalar_par.threads = threads;
+  scalar_par.batch_lanes = 0;  // the scalar oracle
   ParallelConfig batched_par = scalar_par;
   batched_par.batch_lanes = lanes;
   const TrialEngine scalar_engine(scalar_par);

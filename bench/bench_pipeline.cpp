@@ -70,6 +70,7 @@ int main(int argc, char** argv) {
   report.bench = "pipeline";
   report.seed = seed;
   report.threads = 1;
+  report.lanes = 0;  // pipeline trials, no lane groups
   report.trials = trials * rates.size() * kPipeStageCount * 2;
 
   // One point of the sweep: `trials` pipelines, each with its own

@@ -12,7 +12,10 @@
 //   * the hit rate must reach 99% — the workload is built to produce it,
 //     so falling short means the cache or fingerprint is broken;
 //   * cached p99 must undercut cold p99 by >= 100x — the cache has to
-//     actually short-circuit the compute, not just memoize in name.
+//     actually short-circuit the compute, not just memoize in name. The
+//     cached phase runs kCachedRounds times and the gate reads the
+//     median round's p99, so one scheduling stall on a shared host
+//     cannot fail it alone; the rounds' spread is reported.
 //
 // Results land in BENCH_serve.json (schema: docs/OBSERVABILITY.md) with
 // the first spec's direct-engine sweep embedded, so `nbxreport --gate`
@@ -49,6 +52,8 @@ double percentile(std::vector<double> xs, double q) {
   return xs[std::min(idx, xs.size() - 1)];
 }
 
+constexpr int kCachedRounds = 5;
+
 double micros_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - t0)
@@ -65,7 +70,7 @@ int main(int argc, char** argv) {
       "real unix socket, with hit-rate, speedup and byte-identity gates.",
       bench::kTrials | bench::kSeed | bench::kSmoke | bench::kOut,
       {{"--specs D", "distinct sweep specs (default 4)"},
-       {"--repeats R", "cached repeats per spec (default 120)"},
+       {"--repeats R", "cached repeats per spec and round (default 120)"},
        {"--workers N", "service worker threads (default 2)"}});
   if (cli.done()) {
     return cli.status();
@@ -121,7 +126,8 @@ int main(int argc, char** argv) {
 
   std::cout << "Serve bench: " << specs << " distinct specs ("
             << trials << " trials each) x " << repeats
-            << " cached repeats, " << workers << " workers, socket "
+            << " cached repeats x " << kCachedRounds << " rounds, "
+            << workers << " workers, socket "
             << socket_path << "\n\n";
 
   // Cold phase: first touch of every fingerprint.
@@ -136,31 +142,39 @@ int main(int argc, char** argv) {
     cold_us.push_back(micros_since(t0));
   }
 
-  // Cached phase: round-robin repeats; every byte compared to cold.
+  // Cached phase: kCachedRounds rounds of round-robin repeats; every
+  // byte compared to cold.
   std::vector<double> cached_us;
+  std::vector<double> round_p99;
   std::string response;
   const auto cached_t0 = std::chrono::steady_clock::now();
-  for (std::size_t r = 0; r < repeats; ++r) {
-    for (std::size_t i = 0; i < specs; ++i) {
-      const auto t0 = std::chrono::steady_clock::now();
-      if (!client.request(payloads[i], response, &error)) {
-        std::cerr << "bench_serve: cached request failed: " << error
-                  << "\n";
-        return 1;
-      }
-      cached_us.push_back(micros_since(t0));
-      if (response != cold[i]) {
-        std::cerr << "bench_serve: GATE FAIL — cached response for spec "
-                  << i << " is not byte-identical to its cold response\n";
-        return 1;
+  for (int round = 0; round < kCachedRounds; ++round) {
+    std::vector<double> round_us;
+    for (std::size_t r = 0; r < repeats; ++r) {
+      for (std::size_t i = 0; i < specs; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        if (!client.request(payloads[i], response, &error)) {
+          std::cerr << "bench_serve: cached request failed: " << error
+                    << "\n";
+          return 1;
+        }
+        round_us.push_back(micros_since(t0));
+        if (response != cold[i]) {
+          std::cerr << "bench_serve: GATE FAIL — cached response for spec "
+                    << i << " is not byte-identical to its cold response\n";
+          return 1;
+        }
       }
     }
+    round_p99.push_back(percentile(round_us, 0.99));
+    cached_us.insert(cached_us.end(), round_us.begin(), round_us.end());
   }
   const double cached_seconds = micros_since(cached_t0) / 1e6;
 
-  // Direct-engine cross-check + the embedded sweep for nbxreport.
+  // Direct-engine cross-check against the scalar oracle (the service
+  // runs lanes) + the embedded sweep for nbxreport.
   const auto alu = make_alu(requests[0].alu);
-  TrialEngine engine{ParallelConfig{}};
+  TrialEngine engine{ParallelConfig{1, 0, 0, nullptr}};
   const SweepAnatomy direct = engine.sweep_anatomy(
       *alu, paper_streams(requests[0].spec.seed), requests[0].spec);
   SweepRecord record;
@@ -187,7 +201,9 @@ int main(int argc, char** argv) {
   const double cold_p50 = percentile(cold_us, 0.50);
   const double cold_p99 = percentile(cold_us, 0.99);
   const double cached_p50 = percentile(cached_us, 0.50);
-  const double cached_p99 = percentile(cached_us, 0.99);
+  const double cached_p99 = percentile(round_p99, 0.50);
+  const double cached_p99_min = percentile(round_p99, 0.0);
+  const double cached_p99_max = percentile(round_p99, 1.0);
   const double speedup_p99 = cached_p99 > 0 ? cold_p99 / cached_p99 : 0.0;
   const double specs_per_second =
       cached_seconds > 0
@@ -197,8 +213,10 @@ int main(int argc, char** argv) {
   std::printf("%-22s %12s %12s\n", "", "p50 (us)", "p99 (us)");
   std::printf("%-22s %12.1f %12.1f\n", "cold (compute)", cold_p50,
               cold_p99);
-  std::printf("%-22s %12.1f %12.1f\n", "cached (hit)", cached_p50,
-              cached_p99);
+  std::printf("%-22s %12.1f %12.1f   (p99: median of %d rounds, "
+              "%.1f-%.1f)\n",
+              "cached (hit)", cached_p50, cached_p99, kCachedRounds,
+              cached_p99_min, cached_p99_max);
   std::printf("\nhit rate %.4f   p99 speedup %.1fx   %.0f cached specs/s\n",
               hit_rate, speedup_p99, specs_per_second);
   std::printf("service: %llu requests, %llu hits, %llu misses, "
@@ -221,6 +239,8 @@ int main(int argc, char** argv) {
       {"cold_p99_us", cold_p99},
       {"cached_p50_us", cached_p50},
       {"cached_p99_us", cached_p99},
+      {"cached_p99_min_us", cached_p99_min},
+      {"cached_p99_max_us", cached_p99_max},
       {"hit_rate", hit_rate},
       {"p99_speedup", speedup_p99},
       {"cached_specs_per_second", specs_per_second},

@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
     const auto alu = make_alu(name);
 
     // Same-run scalar-engine baseline (batch_lanes = 0).
-    const TrialEngine scalar_engine{ParallelConfig{1, 0}};
+    const TrialEngine scalar_engine{ParallelConfig{1, 0, 0, nullptr}};
     const auto t0 = std::chrono::steady_clock::now();
     const DataPoint scalar_point =
         scalar_engine.point(*alu, streams, spec);

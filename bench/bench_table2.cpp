@@ -14,6 +14,7 @@ int main() {
   TextTable t({"ALU", "paper sites", "our sites", "match", "description"});
   BenchReport report;
   report.bench = "table2";
+  report.lanes = 0;  // site counts only, no trials
   bool all_match = true;
   for (const AluSpec& spec : table2_specs()) {
     const auto alu = make_alu(spec.name);

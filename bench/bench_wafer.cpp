@@ -87,6 +87,7 @@ int main(int argc, char** argv) {
   report.bench = "wafer";
   report.seed = seed;
   report.threads = resolve_threads(threads);
+  report.lanes = 0;  // grid-level trials, no lane groups
   report.trials = wafers * densities.size() * 2;
 
   TextTable t({"density", "placement", "yield", "mean %corr",

@@ -250,7 +250,7 @@ std::optional<std::string> run_serve_case(const ServeCase& c) {
   }
   const std::vector<std::vector<Instruction>> streams =
       paper_streams(req->spec.seed);
-  TrialEngine engine{ParallelConfig{}};
+  TrialEngine engine{ParallelConfig{1, 0, 0, nullptr}};
   const SweepAnatomy direct =
       engine.sweep_anatomy(*alu, streams, req->spec);
   SweepRecord record;

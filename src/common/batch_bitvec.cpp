@@ -14,7 +14,7 @@ std::size_t lane_words_for(unsigned lanes) {
 }
 
 void BatchBitVec::clear_all() {
-  std::fill(words_.begin(), words_.end(), std::uint64_t{0});
+  std::fill_n(words_.begin(), sites_ * lane_words_, std::uint64_t{0});
 }
 
 void BatchBitVec::reshape(std::size_t sites, std::size_t lane_words) {
@@ -23,7 +23,12 @@ void BatchBitVec::reshape(std::size_t sites, std::size_t lane_words) {
   lane_words_ = lane_words;
   const std::size_t need = sites * lane_words;
   if (words_.size() < need) {
+    // Every bit is zeroed below, so nothing needs copying: free the old
+    // buffer first and allocate exactly `need` words, keeping the
+    // per-worker arena at one mask rather than a doubled vector.
+    words_ = std::vector<std::uint64_t>();
     words_.resize(need, 0);
+    return;
   }
   clear_all();
 }

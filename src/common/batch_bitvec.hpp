@@ -105,14 +105,15 @@ class BatchBitVec {
   void clear_all();
 
   /// Re-dimensions to (sites, lane_words) and zeroes every bit. Never
-  /// shrinks the underlying capacity, so repeated reshape() to the same
+  /// shrinks the underlying buffer, so repeated reshape() to the same
   /// (or smaller) dimensions allocates nothing — the per-worker arena
-  /// in the trial engine depends on this.
+  /// in the trial engine depends on this. Growing allocates exactly the
+  /// new size.
   void reshape(std::size_t sites, std::size_t lane_words);
 
   /// Copies sites [offset, offset + out.size()) of lane `lane` into the
-  /// site-packed scalar vector `out` — the transpose a scalar evaluator
-  /// (or a fallback path) consumes.
+  /// site-packed scalar vector `out` — the transpose a scalar decoder
+  /// (the lane engine's Hsiao/Reed-Solomon reads) consumes.
   void extract_lane(unsigned lane, std::size_t offset, BitVec& out) const;
 
   /// Raw word array (size sites() * lane_words(), site-major rows), for

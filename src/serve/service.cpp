@@ -309,8 +309,9 @@ SweepRecord SweepService::compute(const SweepRequest& req) {
   if (alu == nullptr) {
     throw std::runtime_error("alu construction failed");
   }
-  // One engine run on a workers-wide pool: the scheduling and fold every
-  // bench and CLI uses, so the record is a direct TrialEngine result.
+  // One engine run on a workers-wide pool, on the default lane-engine
+  // backend: the scheduling and fold every bench and CLI uses, so the
+  // record is a direct TrialEngine result.
   const TrialEngine engine{ParallelConfig{cfg_.workers, 0}};
   SweepAnatomy run =
       engine.sweep_anatomy(*alu, paper_streams(req.spec.seed), req.spec);

@@ -16,9 +16,9 @@
 //     computation: followers block on the leader's Flight and receive
 //     the identical bytes (exactly-one compute per unique fingerprint);
 //   * one engine run per job — a cold spec is computed by one
-//     TrialEngine::sweep_anatomy call (scalar backend) on a
-//     `workers`-wide pool, so the served record *is* a direct engine
-//     result, bit-identical for every worker count.
+//     TrialEngine::sweep_anatomy call (the default lane-engine backend)
+//     on a `workers`-wide pool, so the served record *is* a direct
+//     engine result, bit-identical for every worker count.
 //
 // Admission control bounds the compute queue: when it is full, new
 // unique specs are shed with a structured retry-after response (cache

@@ -38,7 +38,10 @@ struct BenchReport {
   std::string bench;             ///< short name, e.g. "sweep", "fig7"
   std::uint64_t seed = 0;
   unsigned threads = 1;          ///< resolved worker-thread count
-  unsigned lanes = 0;            ///< batch lanes (0 = scalar backend)
+  /// Lane-engine width the run's sweeps used: ParallelConfig's
+  /// batch_lanes, by default the engine's default width (0 = scalar
+  /// backend, or no single-ALU sweeps).
+  unsigned lanes = ParallelConfig{}.batch_lanes;
   int trials_per_workload = 0;
   std::size_t trials = 0;        ///< total trials executed
   double wall_seconds = 0.0;

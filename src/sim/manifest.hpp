@@ -23,6 +23,8 @@
 #include <ostream>
 #include <string>
 
+#include "common/batch_bitvec.hpp"
+
 namespace nbx {
 
 /// Pinned fingerprint of the golden-value registry: FNV-1a over the
@@ -46,7 +48,9 @@ struct RunManifest {
   std::uint64_t seed_chain_fingerprint = 0;
   std::uint64_t golden_registry_fingerprint = kGoldenRegistryFingerprint;
   unsigned threads = 0;        ///< resolved worker-thread count
-  unsigned lanes = 0;          ///< batch lanes (0 = scalar backend)
+  /// Lane-engine width the run used (ParallelConfig::batch_lanes;
+  /// 0 = scalar backend). Defaults to the engine's default width.
+  unsigned lanes = kLanesPerWord;
   bool captured = false;       ///< set by capture(); default instances
                                ///< are placeholders
 

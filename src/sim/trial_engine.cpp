@@ -328,12 +328,13 @@ DataPoint fold_sweep_samples(std::string_view alu_name, double fault_percent,
   return p;
 }
 
-// Runs the grid through whichever sweep backend parallel().batch_lanes
-// selects; returns one percent_correct sample per (percent, workload,
-// trial) cell plus, when `anatomy` is non-null, per-percent counter
-// totals merged in index order after the pool joins. (Merge order is
-// cosmetic — integer sums commute — which is exactly why the totals are
-// bit-identical for every schedule.)
+// Runs the grid on the lane engine when parallel().batch_lanes >= 1 and
+// the ALU has a word-parallel mirror, else on scalar trials; returns
+// one percent_correct sample per (percent, workload, trial) cell plus,
+// when `anatomy` is non-null, per-percent counter totals merged in
+// index order after the pool joins. (Merge order is cosmetic — integer
+// sums commute — which is exactly why the totals are bit-identical for
+// every schedule.)
 std::vector<double> run_grid(
     const TrialEngine& engine, const IAlu& alu,
     const std::vector<std::vector<Instruction>>& streams,
@@ -344,7 +345,12 @@ std::vector<double> run_grid(
   const std::uint64_t alu_hash = fnv1a64(alu.name());
   std::vector<double> samples(spec.percents.size() * per_percent, 0.0);
 
-  if (engine.parallel().batch_lanes == 0) {
+  // The structural mirror is read-only and shared by all worker threads
+  // (each worker's scratch lives in its thread_local WideArena).
+  const std::unique_ptr<simd::WideMirror> mirror =
+      engine.parallel().batch_lanes == 0 ? nullptr
+                                         : simd::WideMirror::create(alu);
+  if (mirror == nullptr) {
     std::vector<obs::Counters> per_item;
     if (anatomy != nullptr) {
       per_item.resize(samples.size());
@@ -383,12 +389,8 @@ std::vector<double> run_grid(
   assert(inject_sites <= total_sites);
 
   // The dispatch tier is resolved exactly once per run, before workers
-  // start (set_tier_override / NBX_SIMD_TIER are not read concurrently);
-  // the structural mirror is read-only and shared by all worker threads
-  // (each worker's scratch lives in its thread_local WideArena).
+  // start (set_tier_override / NBX_SIMD_TIER are not read concurrently).
   const simd::SimdTier tier = simd::active_tier();
-  const std::unique_ptr<simd::WideMirror> mirror =
-      simd::WideMirror::create(alu);
   std::vector<obs::Counters> per_group;
   if (anatomy != nullptr) {
     per_group.resize(total_groups);

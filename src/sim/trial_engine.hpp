@@ -7,9 +7,10 @@
 // composition exactly once:
 //
 //   * `threads` / `chunking` — how work items fan out over the pool;
-//   * `batch_lanes`          — scalar IAlu vs SIMD-wide lane engine
-//                              sweep backend (0 = scalar, 1..512 =
-//                              lanes per group);
+//   * `batch_lanes`          — sweep backend: lane groups of 1..512
+//                              trials on the SIMD-wide lane engine
+//                              (default 64), or 0 = the scalar IAlu
+//                              engine, the differential oracle;
 //   * anatomy                — the sweep_anatomy/point_anatomy variants
 //                              attach an obs::Counters sink per item and
 //                              fold per percent in deterministic order;
@@ -23,10 +24,11 @@
 // per-index slots. The engine supplies scheduling; the backend supplies
 // determinism — per-item RNG seeds are derived counter-style
 // (MaskGenerator::trial_seed), so every thread count and schedule is
-// bit-identical. The single-ALU sweep backends (scalar and batched) live
-// behind sweep()/point(); system-level grid simulation reuses the same
-// engine through grid/grid_trials.hpp, and the nbxd service (src/serve/)
-// computes each cold request as one sweep_anatomy() call.
+// bit-identical. The single-ALU sweep backends (lane groups and scalar
+// trials) live behind sweep()/point(); system-level grid simulation
+// reuses the same engine through grid/grid_trials.hpp, and the nbxd
+// service (src/serve/) computes each cold request as one
+// sweep_anatomy() call.
 #pragma once
 
 #include <concepts>
@@ -37,6 +39,7 @@
 #include <vector>
 
 #include "alu/alu_iface.hpp"
+#include "common/batch_bitvec.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "fault/mask_generator.hpp"
@@ -97,16 +100,20 @@ struct ParallelConfig {
                           ///< hardware threads
   std::size_t chunking = 0;  ///< trials per work unit; 0 = auto
   /// Trials packed per bit-parallel batch (see src/simd/):
-  /// 0 = scalar engine (default); 1..512 = SIMD-wide lane engine with
-  /// that many lanes per group (rounded up internally to a whole
-  /// 64/128/256/512-bit site row; the SIMD dispatch tier is CPUID-
-  /// resolved per run, overridable via NBX_SIMD_TIER or
-  /// simd::set_tier_override). Any value on any tier yields
-  /// bit-identical results — lanes reuse the scalar per-trial seeds
-  /// verbatim — so this is purely a throughput knob. Composes with
-  /// `threads`: the work unit becomes a lane group instead of a single
-  /// trial.
-  unsigned batch_lanes = 0;
+  /// 1..512 = SIMD-wide lane engine with that many lanes per group
+  /// (rounded up internally to a whole 64/128/256/512-bit site row; the
+  /// SIMD dispatch tier is CPUID-resolved per run, overridable via
+  /// NBX_SIMD_TIER or simd::set_tier_override); 0 = the scalar IAlu
+  /// engine, kept as the oracle differential checks compare against.
+  /// The default is one lane word: wider groups buy little more on the
+  /// paper sweeps and cost resident memory (the per-worker mask arena
+  /// grows with the width). ALUs without a word-parallel mirror (the
+  /// `hw` read-path cores) run on the scalar engine at any width. Any
+  /// value on any tier yields bit-identical results — lanes reuse the
+  /// scalar per-trial seeds verbatim — so this is purely a throughput
+  /// knob. Composes with `threads`: the work unit becomes a lane group
+  /// instead of a single trial.
+  unsigned batch_lanes = kLanesPerWord;
   /// Optional stage profiler (not owned): when set, the engine times
   /// each work item under its backend's stage name ("trial" scalar,
   /// "lane_group" batched, "grid_trial" system-level) and the
@@ -188,8 +195,10 @@ class TrialEngine {
   void set_on_point(std::function<void()> cb) { on_point_ = std::move(cb); }
 
   /// Evaluates `alu` at every percent in the spec. Backend selection
-  /// follows parallel().batch_lanes: 0 = scalar IAlu trials, >= 1 =
-  /// lane groups on the SIMD-wide lane engine; both bit-identical.
+  /// follows parallel().batch_lanes: >= 1 (the default) = lane groups on
+  /// the SIMD-wide lane engine, 0 = scalar IAlu trials; an ALU the lane
+  /// engine cannot mirror runs scalar trials whatever the width. Every
+  /// backend is bit-identical.
   [[nodiscard]] std::vector<DataPoint> sweep(
       const IAlu& alu,
       const std::vector<std::vector<Instruction>>& streams,

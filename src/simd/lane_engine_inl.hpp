@@ -642,7 +642,7 @@ struct WideModuleExec {
   void eval_core(std::size_t core, std::size_t offset, Result& r) {
     const WideMirror::Core& c = mirror->cores()[core];
     if (c.kind == WideMirror::PartKind::kLut) {
-      eval_lut_core<W>(c.block, op, a, b, *mask, offset, active, r.w, stats,
+      eval_lut_core<W>(*c.block, op, a, b, *mask, offset, active, r.w, stats,
                        *lane_mask);
     } else {
       // Matches the scalar datapath: no correction telemetry.
@@ -686,48 +686,6 @@ struct WideModuleExec {
     out->disagreement = LaneVec<W>::zero();
   }
 };
-
-/// The per-lane scalar bridge for module structures without a
-/// word-parallel mirror: each active lane's mask column is extracted and
-/// run through IAlu::compute, and the outputs are scattered back into
-/// the lane-sliced result. compute() accounts its own per-lane stats,
-/// so the aggregate counters equal the sum of the scalar runs.
-template <std::size_t W>
-void compute_lanes_scalar(const IAlu& alu, Opcode op, std::uint8_t a,
-                          std::uint8_t b, const BatchBitVec& mask,
-                          const LaneVec<W>& active, WideOut<W>& out,
-                          ModuleStats* stats, BitVec& lane_mask) {
-  using V = LaneVec<W>;
-  for (std::size_t i = 0; i < 8; ++i) {
-    out.value[i] = V::zero();
-  }
-  out.valid = V::zero();
-  out.disagreement = V::zero();
-  if (lane_mask.size() != alu.fault_sites()) {
-    lane_mask = BitVec(alu.fault_sites());
-  }
-  for (std::size_t wi = 0; wi < W; ++wi) {
-    for (std::uint64_t rest = active.w[wi]; rest != 0; rest &= rest - 1) {
-      const auto lane = static_cast<unsigned>(
-          wi * kLanesPerWord + static_cast<unsigned>(std::countr_zero(rest)));
-      mask.extract_lane(lane, 0, lane_mask);
-      const AluOutput r = alu.compute(
-          op, a, b, MaskView(lane_mask, 0, lane_mask.size()), stats);
-      const std::uint64_t sel = std::uint64_t{1} << (lane % kLanesPerWord);
-      for (unsigned bit = 0; bit < 8; ++bit) {
-        if ((r.value >> bit) & 1u) {
-          out.value[bit].w[wi] |= sel;
-        }
-      }
-      if (r.valid) {
-        out.valid.w[wi] |= sel;
-      }
-      if (r.disagreement) {
-        out.disagreement.w[wi] |= sel;
-      }
-    }
-  }
-}
 
 // ---------------------------------------------------------- group kernel
 
@@ -773,27 +731,21 @@ void run_group_impl(const WideGroupJob& job) {
       }
       oc->injection.faults_injected += flipped;
     }
-    if (mir.is_fallback()) {
-      // The scalar compute() bumps `computations` per lane itself.
-      compute_lanes_scalar<W>(mir.scalar_alu(), ins.op, ins.a, ins.b, mask,
-                              active, out, &stats, ar.lane_mask);
-    } else {
-      stats.computations += popcnt(active, active);
-      WideModuleExec<W> ex{ins.op, ins.a,     ins.b,
-                           &mask,  active,    &stats,
-                           &mir,   ar.nodes.data(), &ar.lane_mask,
-                           &out};
-      switch (mir.level()) {
-        case WideMirror::Level::kSingle:
-          plan::compute_single(ex);
-          break;
-        case WideMirror::Level::kSpace:
-          plan::compute_space(ex);
-          break;
-        case WideMirror::Level::kTime:
-          plan::compute_time(ex);
-          break;
-      }
+    stats.computations += popcnt(active, active);
+    WideModuleExec<W> ex{ins.op, ins.a,     ins.b,
+                         &mask,  active,    &stats,
+                         &mir,   ar.nodes.data(), &ar.lane_mask,
+                         &out};
+    switch (mir.level()) {
+      case WideMirror::Level::kSingle:
+        plan::compute_single(ex);
+        break;
+      case WideMirror::Level::kSpace:
+        plan::compute_space(ex);
+        break;
+      case WideMirror::Level::kTime:
+        plan::compute_time(ex);
+        break;
     }
     V wrong = V::zero();
     for (unsigned bit = 0; bit < 8; ++bit) {

@@ -33,7 +33,7 @@ struct WideArena {
   std::vector<Rng> rngs;             ///< one per lane in the group
   std::vector<std::uint32_t> incorrect;  ///< per-lane wrong-result count
   std::vector<std::uint64_t> nodes;  ///< netlist node words (W per node)
-  BitVec lane_mask;                  ///< scalar fallback lane extraction
+  BitVec lane_mask;                  ///< Hsiao/RS decode lane extraction
   std::vector<MaskGenerator> gens;   ///< per-lane generators (wear-out
                                      ///< schedules only; empty when the
                                      ///< group shares WideGroupJob::gen)

@@ -68,17 +68,40 @@ std::size_t LutTables::tmr_site(std::size_t copy, std::size_t entry) const {
 
 namespace {
 
+/// True when `a` and `b` are LUT cores with the same LUTs (coding,
+/// inputs, golden table, segment offset), so one mirror block evaluates
+/// either bit for bit.
+bool same_luts(const CoreAlu& a, const CoreAlu& b) {
+  const auto* x = dynamic_cast<const LutCoreAlu*>(&a);
+  const auto* y = dynamic_cast<const LutCoreAlu*>(&b);
+  if (x == nullptr || y == nullptr) {
+    return false;
+  }
+  for (std::size_t i = 0; i < LutCoreAlu::kLutCount; ++i) {
+    const CodedLut& p = x->lut_at(i);
+    const CodedLut& q = y->lut_at(i);
+    if (p.coding() != q.coding() || p.inputs() != q.inputs() ||
+        !(p.golden_table() == q.golden_table()) ||
+        x->lut_offset(i) != y->lut_offset(i)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Fills `out` from a recognized core; false on anything else.
 bool mirror_core(const CoreAlu& core, WideMirror::Core& out) {
   out.sites = core.fault_sites();
   if (const auto* lut = dynamic_cast<const LutCoreAlu*>(&core)) {
     out.kind = WideMirror::PartKind::kLut;
-    out.block.luts.reserve(LutCoreAlu::kLutCount);
-    out.block.offsets.reserve(LutCoreAlu::kLutCount);
+    auto block = std::make_shared<WideLutBlock>();
+    block->luts.reserve(LutCoreAlu::kLutCount);
+    block->offsets.reserve(LutCoreAlu::kLutCount);
     for (std::size_t i = 0; i < LutCoreAlu::kLutCount; ++i) {
-      out.block.luts.emplace_back(lut->lut_at(i));
-      out.block.offsets.push_back(lut->lut_offset(i));
+      block->luts.emplace_back(lut->lut_at(i));
+      block->offsets.push_back(lut->lut_offset(i));
     }
+    out.block = std::move(block);
     return true;
   }
   if (const auto* cmos = dynamic_cast<const CmosCoreAlu*>(&core)) {
@@ -120,7 +143,6 @@ bool mirror_voter(const IVoter& voter, WideMirror::Voter& out) {
 
 std::unique_ptr<WideMirror> WideMirror::create(const IAlu& alu) {
   auto m = std::make_unique<WideMirror>();
-  m->alu_ = &alu;
   bool ok = true;
   if (const auto* single = dynamic_cast<const SingleAlu*>(&alu)) {
     m->level_ = Level::kSingle;
@@ -130,8 +152,13 @@ std::unique_ptr<WideMirror> WideMirror::create(const IAlu& alu) {
                  dynamic_cast<const SpaceRedundantAlu*>(&alu)) {
     m->level_ = Level::kSpace;
     m->cores_.resize(3);
-    for (std::size_t i = 0; i < 3; ++i) {
-      ok = ok && mirror_core(space->core(i), m->cores_[i]);
+    for (std::size_t i = 0; i < 3 && ok; ++i) {
+      // Replicas of core 0 share its tables instead of building copies.
+      if (i > 0 && same_luts(space->core(0), space->core(i))) {
+        m->cores_[i] = m->cores_[0];
+      } else {
+        ok = mirror_core(space->core(i), m->cores_[i]);
+      }
     }
     m->has_voter_ = ok && mirror_voter(space->voter(), m->voter_);
     ok = ok && m->has_voter_;
@@ -145,10 +172,7 @@ std::unique_ptr<WideMirror> WideMirror::create(const IAlu& alu) {
     ok = false;
   }
   if (!ok) {
-    m->fallback_ = true;
-    m->cores_.clear();
-    m->has_voter_ = false;
-    return m;
+    return nullptr;
   }
   for (const Core& c : m->cores_) {
     if (c.netlist != nullptr) {

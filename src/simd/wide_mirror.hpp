@@ -94,9 +94,10 @@ struct WideLutBlock {
   std::vector<std::size_t> offsets;
 };
 
-/// The structural mirror of one IAlu. `fallback` mirrors are evaluated
-/// per-lane through the scalar IAlu::compute (unrecognized structures —
-/// the hardware-LUT ablation cores and future ALUs).
+/// The structural mirror of one IAlu: single, space-TMR or time-TMR
+/// modules over LUT or CMOS cores and voters. Other structures (the
+/// hardware-LUT ablation cores, future ALUs) have no mirror; the trial
+/// engine runs them on its scalar backend.
 class WideMirror {
  public:
   enum class Level : std::uint8_t { kSingle, kSpace, kTime };
@@ -105,7 +106,9 @@ class WideMirror {
   struct Core {
     PartKind kind = PartKind::kLut;
     std::size_t sites = 0;
-    WideLutBlock block;                   // kLut
+    /// kLut: the core's tables. Replica cores with equal LUTs (the three
+    /// cores of a space-TMR module) share one block.
+    std::shared_ptr<const WideLutBlock> block;
     const Netlist* netlist = nullptr;     // kCmos
     Signal result[8];                     // kCmos
   };
@@ -119,13 +122,11 @@ class WideMirror {
     Signal error;                         // kCmos
   };
 
-  /// Builds the mirror of `alu` (which must outlive it). Never fails:
-  /// unrecognized structures yield a fallback mirror.
+  /// Builds the mirror of `alu` (which must outlive it), or returns null
+  /// when the structure has no word-parallel form.
   static std::unique_ptr<WideMirror> create(const IAlu& alu);
 
-  [[nodiscard]] const IAlu& scalar_alu() const { return *alu_; }
   [[nodiscard]] Level level() const { return level_; }
-  [[nodiscard]] bool is_fallback() const { return fallback_; }
   [[nodiscard]] const std::vector<Core>& cores() const { return cores_; }
   [[nodiscard]] const Voter* voter() const {
     return has_voter_ ? &voter_ : nullptr;
@@ -135,9 +136,7 @@ class WideMirror {
   [[nodiscard]] std::size_t max_netlist_nodes() const { return max_nodes_; }
 
  private:
-  const IAlu* alu_ = nullptr;
   Level level_ = Level::kSingle;
-  bool fallback_ = false;
   bool has_voter_ = false;
   std::vector<Core> cores_;  // 1 (single/time) or 3 (space)
   Voter voter_;

@@ -99,6 +99,15 @@ TEST(BatchBitVec, ReshapeRedimensionsAndZeroes) {
   m.reshape(2, 1);
   EXPECT_EQ(m.sites(), 2u);
   EXPECT_EQ(m.row(1)[0], 0u);
+  // clear_all zeroes only the live rows; growing back within the old
+  // buffer must still zero the rows the shrunken shape left stale.
+  m.set(1, 5, true);
+  m.reshape(10, 4);
+  for (std::size_t s = 0; s < m.sites(); ++s) {
+    for (std::size_t w = 0; w < m.lane_words(); ++w) {
+      EXPECT_EQ(m.row(s)[w], 0u) << "site " << s << " word " << w;
+    }
+  }
 }
 
 TEST(BatchBitVec, LaneWordsForRoundsUpToAWholeRegister) {

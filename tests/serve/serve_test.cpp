@@ -58,8 +58,9 @@ SweepRequest small_request(std::uint64_t seed, int trials = 2) {
 // the daemon must serve byte for byte.
 std::string direct_render(const SweepRequest& req) {
   const auto alu = make_alu(req.alu);
-  const SweepAnatomy direct = TrialEngine{ParallelConfig{}}.sweep_anatomy(
-      *alu, paper_streams(req.spec.seed), req.spec);
+  const SweepAnatomy direct =
+      TrialEngine{ParallelConfig{1, 0, 0, nullptr}}.sweep_anatomy(
+          *alu, paper_streams(req.spec.seed), req.spec);
   SweepRecord record;
   record.alu = req.alu;
   record.points = direct.points;

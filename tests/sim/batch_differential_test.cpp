@@ -1,7 +1,8 @@
 // batch_differential_test.cpp — the batched engine's lockdown: for every
 // Table-2 ALU, at several fault percentages, for lane counts 1, 7 and
 // 64, the batched TrialEngine must reproduce the scalar engine BIT FOR
-// BIT (mean, stddev, CI — all doubles exactly equal).
+// BIT (mean, stddev, CI — all doubles exactly equal). The scalar side is
+// pinned explicitly (batch_lanes = 0): the engine's default is lanes.
 //
 // This is the PR's hard gate: the batched engine reuses the scalar
 // per-trial seeds verbatim and the shared mask-generation core consumes
@@ -35,8 +36,13 @@ class BatchDifferential : public ::testing::Test {
   }
 
   static DataPoint point_at(const IAlu& alu, const SweepSpec& spec,
-                            const ParallelConfig& par = {}) {
+                            const ParallelConfig& par) {
     return TrialEngine(par).point(alu, streams(), spec);
+  }
+
+  // The serial scalar engine, the oracle every lane count must match.
+  static DataPoint scalar_point(const IAlu& alu, const SweepSpec& spec) {
+    return point_at(alu, spec, ParallelConfig{1, 0, 0, nullptr});
   }
 
   static SweepSpec spec_at(double percent) {
@@ -63,7 +69,7 @@ class BatchDifferential : public ::testing::Test {
     ASSERT_NE(alu, nullptr) << name;
     for (const double percent : kPercents) {
       const SweepSpec spec = spec_at(percent);
-      const DataPoint scalar = point_at(*alu, spec);
+      const DataPoint scalar = scalar_point(*alu, spec);
       for (const unsigned lanes : kLaneCounts) {
         ParallelConfig par;
         par.batch_lanes = lanes;
@@ -98,7 +104,7 @@ TEST_F(BatchDifferential, BatchedComposesWithThreadPool) {
   // threads x batch_lanes together must still be bit-identical.
   const auto alu = make_alu("aluss");
   const SweepSpec spec = spec_at(2.0);
-  const DataPoint scalar = point_at(*alu, spec);
+  const DataPoint scalar = scalar_point(*alu, spec);
   ParallelConfig par;
   par.threads = 4;
   par.batch_lanes = 7;
@@ -116,7 +122,7 @@ TEST_F(BatchDifferential, BatchedHonoursDatapathOnlyScope) {
   SweepSpec spec = spec_at(5.0);
   spec.scope = InjectionScope::kDatapathOnly;
   spec.datapath_sites = datapath;
-  const DataPoint scalar = point_at(*alu, spec);
+  const DataPoint scalar = scalar_point(*alu, spec);
   ParallelConfig par;
   par.batch_lanes = 64;
   const DataPoint batched = point_at(*alu, spec, par);
@@ -133,7 +139,7 @@ TEST_F(BatchDifferential, BatchedHonoursAlternativePolicies) {
     SweepSpec spec = spec_at(3.0);
     spec.policy = policy;
     spec.burst_length = burst;
-    const DataPoint scalar = point_at(*alu, spec);
+    const DataPoint scalar = scalar_point(*alu, spec);
     ParallelConfig par;
     par.batch_lanes = 64;
     const DataPoint batched = point_at(*alu, spec, par);

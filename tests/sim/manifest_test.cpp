@@ -73,7 +73,6 @@ TEST(Manifest, BenchJsonEmbedsManifestBlock) {
   report.bench = "manifest_probe";
   report.seed = 2026;
   report.threads = 3;
-  report.lanes = 64;
   report.trials = 10;
   report.wall_seconds = 0.5;
   std::ostringstream os;
@@ -89,8 +88,10 @@ TEST(Manifest, BenchJsonEmbedsManifestBlock) {
   EXPECT_EQ(manifest->find("golden_registry_fingerprint")->as_u64(),
             kGoldenRegistryFingerprint);
   // An uncaptured report manifest is captured at write time with the
-  // report's own thread/lane config.
+  // report's own thread/lane config; a report that leaves `lanes` alone
+  // records the engine's default width, the lanes its sweeps ran on.
   EXPECT_EQ(manifest->find("threads")->as_u64(), 3u);
+  EXPECT_EQ(manifest->find("lanes")->as_u64(), ParallelConfig{}.batch_lanes);
   EXPECT_EQ(manifest->find("lanes")->as_u64(), 64u);
 }
 

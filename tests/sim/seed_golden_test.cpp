@@ -39,9 +39,10 @@ TEST(SeedGolden, DeriveSeedChainIsPinned) {
 }
 
 TEST(SeedGolden, AlussAtTwoPercentUnderSeed2026) {
+  // The scalar oracle (batch_lanes = 0); the default engine runs lanes.
   const auto alu = make_alu(kRef.alu);
   const auto streams = paper_streams(kRef.seed);
-  const DataPoint p = TrialEngine{}.point(
+  const DataPoint p = TrialEngine{ParallelConfig{1, 0, 0, nullptr}}.point(
       *alu, streams,
       {.percents = {kRef.fault_percent},
        .trials_per_workload = kRef.trials_per_workload, .seed = kRef.seed});

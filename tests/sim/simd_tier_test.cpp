@@ -129,7 +129,8 @@ void run_decode_coverage(simd::SimdTier tier) {
     const auto alu = make_alu(s.name);
     ASSERT_NE(alu, nullptr) << s.name;
 
-    ParallelConfig scalar_cfg;  // batch_lanes = 0: the scalar oracle
+    ParallelConfig scalar_cfg;
+    scalar_cfg.batch_lanes = 0;  // the scalar oracle
     const SweepAnatomy base =
         TrialEngine(scalar_cfg).sweep_anatomy(*alu, streams, spec);
 

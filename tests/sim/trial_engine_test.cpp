@@ -7,7 +7,9 @@
 //   BIT across every (threads x batch_lanes) composition, and the
 //   anatomy counters must be equal across all of them. This is the
 //   refactor's hard gate: backend selection is an implementation
-//   detail, so any divergence is a real behaviour change.
+//   detail, so any divergence is a real behaviour change. Every
+//   reference is the scalar oracle pinned explicitly (batch_lanes = 0);
+//   the default engine runs lane groups.
 //
 //   TrialEngineSmoke — the fast cross-backend slice (scalar, batched,
 //   anatomy, grid, custom backend) registered as the `engine_smoke`
@@ -16,16 +18,43 @@
 
 #include <array>
 #include <atomic>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "alu/alu_factory.hpp"
 #include "grid/grid_trials.hpp"
+#include "obs/metrics.hpp"
 #include "sim/experiment.hpp"
 #include "workload/image_ops.hpp"
 
 namespace nbx {
 namespace {
+
+// The scalar IAlu engine, serial: the oracle every backend must match.
+const ParallelConfig kScalarOracle{1, 0, 0, nullptr};
+
+// engine_runs_total per "backend/lanes" label pair.
+std::map<std::string, std::uint64_t> engine_runs(
+    const obs::MetricsRegistry& reg) {
+  std::map<std::string, std::uint64_t> runs;
+  for (const obs::MetricSnapshot& m : reg.snapshot()) {
+    if (m.name != "engine_runs_total") {
+      continue;
+    }
+    std::string backend;
+    std::string lanes;
+    for (const obs::MetricLabel& l : m.labels) {
+      if (l.key == "backend") {
+        backend = l.value;
+      } else if (l.key == "lanes") {
+        lanes = l.value;
+      }
+    }
+    runs[backend + "/" + lanes] += m.counter_value;
+  }
+  return runs;
+}
 
 class EngineDifferential : public ::testing::Test {
  protected:
@@ -65,7 +94,7 @@ class EngineDifferential : public ::testing::Test {
 
     // Reference: the serial scalar engine, with anatomy attached (the
     // sink is passive, so these points are also sweep()'s points).
-    const TrialEngine ref_engine;
+    const TrialEngine ref_engine{kScalarOracle};
     const SweepAnatomy ref = ref_engine.sweep_anatomy(*alu, streams(), spec);
     ASSERT_EQ(ref.points.size(), spec.percents.size());
     ASSERT_EQ(ref.metrics.size(), spec.percents.size());
@@ -126,7 +155,7 @@ TEST_F(EngineDifferential, PointHonoursScopeAndPolicy) {
   spec.percents = {5.0};
   spec.trials_per_workload = kTrialsPerWorkload;
   spec.seed = kSeed;
-  const TrialEngine engine;
+  const TrialEngine engine{kScalarOracle};
   ParallelConfig par;
   par.batch_lanes = 64;
   const TrialEngine batched{par};
@@ -150,6 +179,57 @@ TEST_F(EngineDifferential, PointHonoursScopeAndPolicy) {
       << "burst policy must move the numbers";
   expect_identical(burst, batched.point(*alu, streams(), spec),
                    "aluts burst scalar vs batched");
+}
+
+TEST_F(EngineDifferential, DefaultEngineRunsLaneGroupsLikeTheOracle) {
+  // A default-constructed engine is the lane engine at one lane word,
+  // bit-identical to the scalar oracle, anatomy included.
+  SweepSpec spec;
+  spec.percents = {2.0};
+  spec.trials_per_workload = kTrialsPerWorkload;
+  spec.seed = kSeed;
+  const TrialEngine oracle{kScalarOracle};
+  for (const AluSpec& s : table2_specs()) {
+    const auto alu = make_alu(s.name);
+    ASSERT_NE(alu, nullptr) << s.name;
+    obs::MetricsRegistry reg;
+    AnatomyPoint got;
+    {
+      const obs::ScopedMetricsRegistry attach(&reg);
+      got = TrialEngine{}.point_anatomy(*alu, streams(), spec);
+    }
+    EXPECT_EQ(engine_runs(reg),
+              (std::map<std::string, std::uint64_t>{{"wide/64", 1}}))
+        << s.name;
+    const AnatomyPoint want = oracle.point_anatomy(*alu, streams(), spec);
+    expect_identical(want.point, got.point, s.name + " default engine");
+    EXPECT_TRUE(want.counters == got.counters) << s.name;
+  }
+}
+
+TEST_F(EngineDifferential, UnmirroredAluRunsTheScalarBackendAtAnyWidth) {
+  // The hw read-path cores have no word-parallel mirror: the engine runs
+  // them as scalar trials whatever batch_lanes asks for.
+  const auto alu = make_alu("alunhw");
+  ASSERT_NE(alu, nullptr);
+  SweepSpec spec;
+  spec.percents = {2.0};
+  spec.trials_per_workload = kTrialsPerWorkload;
+  spec.seed = kSeed;
+  ParallelConfig par;
+  par.batch_lanes = 512;
+  obs::MetricsRegistry reg;
+  AnatomyPoint got;
+  {
+    const obs::ScopedMetricsRegistry attach(&reg);
+    got = TrialEngine{par}.point_anatomy(*alu, streams(), spec);
+  }
+  EXPECT_EQ(engine_runs(reg),
+            (std::map<std::string, std::uint64_t>{{"scalar/0", 1}}));
+  const AnatomyPoint want =
+      TrialEngine{kScalarOracle}.point_anatomy(*alu, streams(), spec);
+  expect_identical(want.point, got.point, "alunhw at 512 lanes");
+  EXPECT_TRUE(want.counters == got.counters);
 }
 
 // ---------------------------------------------------------------------
@@ -177,8 +257,8 @@ class TrialEngineSmoke : public ::testing::Test {
 
 TEST_F(TrialEngineSmoke, ScalarBackendHitsThePinnedGolden) {
   const auto alu = make_alu("aluss");
-  expect_golden(
-      TrialEngine{}.point(*alu, paper_streams(2026), golden_spec()));
+  expect_golden(TrialEngine{kScalarOracle}.point(*alu, paper_streams(2026),
+                                                  golden_spec()));
 }
 
 TEST_F(TrialEngineSmoke, BatchedBackendHitsThePinnedGolden) {

@@ -1,11 +1,12 @@
 // wide_mirror_test.cpp — the lane engine's structural mirror.
 //
 // The bit-identity differentials (batch_differential_test,
-// simd_tier_test) pass for a fallback mirror too, because the per-lane
-// scalar bridge is exact; a Table-2 ALU that silently lost its
-// word-parallel mirror would only show up as lost throughput. These
-// tests pin which ALUs mirror and that each mirror's segment layout
-// covers exactly the ALU's fault sites.
+// simd_tier_test) pass for an ALU without a mirror too, because the
+// engine then runs it on the scalar backend; a Table-2 ALU that silently
+// lost its word-parallel mirror would only show up as lost throughput.
+// These tests pin which ALUs mirror, that each mirror's segment layout
+// covers exactly the ALU's fault sites, and that space-TMR replicas
+// share one table block.
 #include <gtest/gtest.h>
 
 #include "alu/alu_factory.hpp"
@@ -39,11 +40,14 @@ TEST(WideMirror, Table2AlusAreFullyWordParallel) {
     const auto alu = make_alu(spec.name);
     ASSERT_NE(alu, nullptr) << spec.name;
     const auto mirror = WideMirror::create(*alu);
-    ASSERT_FALSE(mirror->is_fallback()) << spec.name;
+    ASSERT_NE(mirror, nullptr) << spec.name;
     EXPECT_EQ(mirrored_sites(*mirror), spec.expected_sites) << spec.name;
     for (const WideMirror::Core& c : mirror->cores()) {
       if (c.kind == WideMirror::PartKind::kLut) {
-        EXPECT_EQ(c.block.luts.size(), LutCoreAlu::kLutCount) << spec.name;
+        ASSERT_NE(c.block, nullptr) << spec.name;
+        EXPECT_EQ(c.block->luts.size(), LutCoreAlu::kLutCount) << spec.name;
+        // Replica cores hold the same LUTs, so they share one block.
+        EXPECT_EQ(c.block, mirror->cores()[0].block) << spec.name;
       }
     }
     if (const WideMirror::Voter* v = mirror->voter();
@@ -54,13 +58,13 @@ TEST(WideMirror, Table2AlusAreFullyWordParallel) {
 }
 
 TEST(WideMirror, HardwareLutVariantsUseTheScalarFallback) {
-  const auto alu = make_alu("alunhw");
-  ASSERT_NE(alu, nullptr);
-  const auto mirror = WideMirror::create(*alu);
-  EXPECT_TRUE(mirror->is_fallback());
-  EXPECT_TRUE(mirror->cores().empty());
-  EXPECT_EQ(mirror->voter(), nullptr);
-  EXPECT_EQ(&mirror->scalar_alu(), alu.get());
+  // No mirror: the trial engine runs these on its scalar backend
+  // (trial_engine_test's UnmirroredAluRunsTheScalarBackendAtAnyWidth).
+  for (const char* name : {"alunhw", "alushw", "aluthw"}) {
+    const auto alu = make_alu(name);
+    ASSERT_NE(alu, nullptr) << name;
+    EXPECT_EQ(WideMirror::create(*alu), nullptr) << name;
+  }
 }
 
 }  // namespace
