@@ -1,10 +1,9 @@
 // bench_batch — scalar vs bit-parallel batched trial engine. Runs the
 // same data point (one fault percentage, both workloads) through the
 // TrialEngine twice — once with the scalar backend, once with trials
-// packed into SIMD-wide lane groups (--lanes 1..512, dispatch tier
-// recorded in the report) — verifies the two are bit-identical, and
-// records wall-clock, speedup and per-engine throughput in
-// BENCH_batch.json.
+// packed into SIMD-wide lane groups (--lanes 1..512) — verifies the
+// two are bit-identical, and records wall-clock, speedup and per-engine
+// throughput in BENCH_batch.json.
 //
 //   bench_batch [--alus a,b,c] [--trials N] [--percent P] [--lanes N]
 //               [--threads N] [--seed N] [--smoke] [--out PATH]
@@ -23,7 +22,6 @@
 #include "sim/bench_json.hpp"
 #include "sim/trial_engine.hpp"
 #include "sim/table_render.hpp"
-#include "simd/simd_dispatch.hpp"
 
 namespace {
 
@@ -163,8 +161,6 @@ int main(int argc, char** argv) {
           : 0.0);
   report.extra.emplace_back("mode", smoke ? "smoke" : "full");
   report.extra.emplace_back("bit_identical", all_identical ? "yes" : "NO");
-  report.extra.emplace_back(
-      "simd_tier", std::string(simd::tier_name(simd::active_tier())));
 
   std::cout << "\nmin speedup " << fmt_double(min_speedup, 2)
             << "x, bit-identical " << (all_identical ? "yes" : "NO")

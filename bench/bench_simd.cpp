@@ -1,15 +1,13 @@
-// bench_simd — throughput of the SIMD-wide lane engine across dispatch
-// tiers and lane widths, with an enforceable regression gate.
+// bench_simd — throughput of the SIMD-wide lane engine across lane
+// widths, with an enforceable regression gate.
 //
-// For every compiled-in + CPU-supported dispatch tier (scalar / AVX2 /
-// AVX-512, forced one at a time) and every power-of-two row width (64,
-// 128, 256, 512 lanes) the same data point runs through the wide
-// engine; the scalar trial engine provides the same-run baseline. All
-// throughput comparisons are machine-relative ratios measured in one
-// process invocation, so the gate needs no absolute trials/second
-// calibration per machine:
+// For every power-of-two row width (64, 128, 256, 512 lanes) the same
+// data point runs through the wide engine; the scalar trial engine
+// provides the same-run baseline. All throughput comparisons are
+// machine-relative ratios measured in one process invocation, so the
+// gate needs no absolute trials/second calibration per machine:
 //
-//   speedup_512v64      — 512-lane vs 64-lane wide engine, active tier;
+//   speedup_512v64      — 512-lane vs 64-lane wide engine;
 //   wide512_vs_scalar   — 512-lane wide engine vs the scalar engine.
 //
 // The default fault percentage is low (0.1%) on purpose: at the paper's
@@ -39,7 +37,6 @@
 #include "sim/bench_json.hpp"
 #include "sim/table_render.hpp"
 #include "sim/trial_engine.hpp"
-#include "simd/simd_dispatch.hpp"
 
 namespace {
 
@@ -89,7 +86,7 @@ double floor_value(const std::string& text, const std::string& key) {
 int main(int argc, char** argv) {
   const bench::BenchCli cli(
       argc, argv,
-      "Wide lane engine throughput per SIMD dispatch tier and lane width,\n"
+      "Wide lane engine throughput per lane width,\n"
       "relative to the same-run scalar engine; --gate enforces the\n"
       "committed perf floors (machine-relative ratios).",
       bench::kTrials | bench::kSeed | bench::kAlus | bench::kSmoke |
@@ -126,11 +123,9 @@ int main(int argc, char** argv) {
   spec.trials_per_workload = trials;
   spec.seed = seed;
 
-  const simd::SimdTier active = simd::active_tier();
   std::cout << "SIMD lane engine bench: " << names.size() << " ALUs x "
             << streams.size() << " workloads x " << trials << " trials @ "
-            << percent << "% faults, active tier "
-            << simd::tier_name(active) << "\n\n";
+            << percent << "% faults\n\n";
 
   BenchReport report;
   report.bench = "simd";
@@ -140,9 +135,6 @@ int main(int argc, char** argv) {
   report.metrics.emplace_back("fault_percent", percent);
 
   constexpr unsigned kWidths[] = {64, 128, 256, 512};
-  constexpr simd::SimdTier kTiers[] = {simd::SimdTier::kScalar,
-                                       simd::SimdTier::kAvx2,
-                                       simd::SimdTier::kAvx512};
 
   // The headline ratios come from the FIRST ALU (aluss by default).
   double headline_512v64 = 0.0;
@@ -165,61 +157,46 @@ int main(int argc, char** argv) {
     report.metrics.emplace_back("scalar_trials_per_second_" + name,
                                 scalar_tps);
 
-    TextTable t({"tier", "lanes", "trials/s", "vs scalar", "512v64"});
-    for (const simd::SimdTier tier : kTiers) {
-      if (!simd::tier_supported(tier)) {
-        continue;
+    TextTable t({"lanes", "trials/s", "vs scalar", "512v64"});
+    double tps64 = 0.0;
+    double tps512 = 0.0;
+    for (const unsigned lanes : kWidths) {
+      ParallelConfig par;
+      par.batch_lanes = lanes;
+      const TrialEngine wide_engine(par);
+      const double tps =
+          measure_tps(wide_engine, *alu, streams, spec, repetitions);
+      if (lanes == 64) {
+        tps64 = tps;
       }
-      const simd::ScopedTierOverride forced(tier);
-      double tps64 = 0.0;
-      double tps512 = 0.0;
-      for (const unsigned lanes : kWidths) {
-        ParallelConfig par;
-        par.batch_lanes = lanes;
-        const TrialEngine wide_engine(par);
-        const double tps =
-            measure_tps(wide_engine, *alu, streams, spec, repetitions);
-        if (lanes == 64) {
-          tps64 = tps;
-        }
-        if (lanes == 512) {
-          tps512 = tps;
-          const DataPoint wide_point =
-              wide_engine.point(*alu, streams, spec);
-          const bool same =
-              wide_point.mean_percent_correct ==
-                  scalar_point.mean_percent_correct &&
-              wide_point.stddev == scalar_point.stddev &&
-              wide_point.samples == scalar_point.samples;
-          all_identical = all_identical && same;
-        }
-        const std::string tag = std::string(simd::tier_name(tier)) + "_" +
-                                std::to_string(lanes);
-        report.metrics.emplace_back("tps_" + tag + "_" + name, tps);
-        trials_total += static_cast<std::size_t>(trials) * streams.size() *
-                        static_cast<std::size_t>(repetitions);
-        t.add_row({std::string(simd::tier_name(tier)),
-                   std::to_string(lanes), fmt_double(tps, 0),
-                   fmt_double(scalar_tps > 0.0 ? tps / scalar_tps : 0.0, 2),
-                   lanes == 512 && tps64 > 0.0
-                       ? fmt_double(tps / tps64, 2)
-                       : ""});
+      if (lanes == 512) {
+        tps512 = tps;
+        const DataPoint wide_point = wide_engine.point(*alu, streams, spec);
+        const bool same =
+            wide_point.mean_percent_correct ==
+                scalar_point.mean_percent_correct &&
+            wide_point.stddev == scalar_point.stddev &&
+            wide_point.samples == scalar_point.samples;
+        all_identical = all_identical && same;
       }
-      const double ratio_512v64 = tps64 > 0.0 ? tps512 / tps64 : 0.0;
-      const double wide_vs_scalar =
-          scalar_tps > 0.0 ? tps512 / scalar_tps : 0.0;
       report.metrics.emplace_back(
-          "speedup_512v64_" + std::string(simd::tier_name(tier)) + "_" +
-              name,
-          ratio_512v64);
-      report.metrics.emplace_back(
-          "wide512_vs_scalar_" + std::string(simd::tier_name(tier)) + "_" +
-              name,
-          wide_vs_scalar);
-      if (tier == active && name == names.front()) {
-        headline_512v64 = ratio_512v64;
-        headline_wide_vs_scalar = wide_vs_scalar;
-      }
+          "tps_" + std::to_string(lanes) + "_" + name, tps);
+      trials_total += static_cast<std::size_t>(trials) * streams.size() *
+                      static_cast<std::size_t>(repetitions);
+      t.add_row({std::to_string(lanes), fmt_double(tps, 0),
+                 fmt_double(scalar_tps > 0.0 ? tps / scalar_tps : 0.0, 2),
+                 lanes == 512 && tps64 > 0.0 ? fmt_double(tps / tps64, 2)
+                                             : ""});
+    }
+    const double ratio_512v64 = tps64 > 0.0 ? tps512 / tps64 : 0.0;
+    const double wide_vs_scalar =
+        scalar_tps > 0.0 ? tps512 / scalar_tps : 0.0;
+    report.metrics.emplace_back("speedup_512v64_" + name, ratio_512v64);
+    report.metrics.emplace_back("wide512_vs_scalar_" + name,
+                                wide_vs_scalar);
+    if (name == names.front()) {
+      headline_512v64 = ratio_512v64;
+      headline_wide_vs_scalar = wide_vs_scalar;
     }
     std::cout << name << " (scalar engine " << fmt_double(scalar_tps, 0)
               << " trials/s):\n";
@@ -233,14 +210,9 @@ int main(int argc, char** argv) {
   report.metrics.emplace_back("wide512_vs_scalar",
                               headline_wide_vs_scalar);
   report.extra.emplace_back("mode", smoke ? "smoke" : "full");
-  report.extra.emplace_back("active_tier",
-                            std::string(simd::tier_name(active)));
-  report.extra.emplace_back(
-      "best_tier", std::string(simd::tier_name(simd::best_tier())));
   report.extra.emplace_back("bit_identical", all_identical ? "yes" : "NO");
 
-  std::cout << "headline (tier " << simd::tier_name(active)
-            << "): 512v64 " << fmt_double(headline_512v64, 2)
+  std::cout << "headline: 512v64 " << fmt_double(headline_512v64, 2)
             << "x, wide512 vs scalar engine "
             << fmt_double(headline_wide_vs_scalar, 2) << "x\n";
 

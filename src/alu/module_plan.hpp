@@ -13,7 +13,7 @@
 // stored-result slot and run one vote at its lane width. Two contexts
 // consume it: ScalarModuleExec below (one trial, std::uint8_t results;
 // the scalar wrappers in module_alu.cpp) and simd::WideModuleExec
-// (64*W trial lanes, word-sliced results; simd/lane_engine_inl.hpp).
+// (64*W trial lanes, word-sliced results; simd/lane_engine.cpp).
 // Because both share one plan, the segment offsets, the 9-bit
 // stored-result slots, the storage-fault accounting and the vote wiring
 // cannot diverge between the scalar oracle and the lane engine.

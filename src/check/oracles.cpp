@@ -30,7 +30,6 @@
 #include "obs/counters.hpp"
 #include "obs/json.hpp"
 #include "sim/trial_engine.hpp"
-#include "simd/simd_dispatch.hpp"
 #include "workload/instruction_stream.hpp"
 
 namespace nbx::check {
@@ -114,7 +113,11 @@ EngineCase generate_engine_case(Gen& g) {
        g.distinct_below(kPercentPool.size(), n_percents)) {
     c.percents.push_back(kPercentPool[i]);
   }
-  c.trials = static_cast<int>(g.in_range(1, 2));
+  // Mostly cheap cases; occasionally enough trials to spill past the
+  // first 64-lane word so multi-group cells, the multi-word active masks
+  // and cross-word scoring run with more than a partial group.
+  c.trials = static_cast<int>(g.boolean(0.25) ? g.in_range(65, 140)
+                                              : g.in_range(1, 4));
   c.seed = g.u64();
   c.policy = g.pick({std::string("round"), std::string("floor"),
                      std::string("bernoulli"), std::string("burst")});
@@ -372,225 +375,6 @@ std::vector<EngineCase> shrink_engine_case(const EngineCase& c) {
   return out;
 }
 
-// ------------------------------------------------- simd-differential
-
-constexpr const char* kSimdName = "simd-differential";
-
-/// One generated SweepSpec run through the wide lane engine under EVERY
-/// compiled-in + CPU-supported dispatch tier (forced via
-/// ScopedTierOverride), each compared bit-for-bit — points AND anatomy
-/// counters — against the scalar trial engine. Comparing every tier to
-/// the same baseline implies the tiers are pairwise identical.
-struct SimdCase {
-  std::string alu;
-  std::vector<double> percents;
-  int trials = 1;
-  std::uint64_t seed = 0;
-  std::string policy = "round";  // round | floor | bernoulli | burst
-  std::size_t burst_length = 1;
-  std::string scope = "all";  // all | datapath
-  std::size_t datapath_sites = 0;
-  unsigned lanes = 2;  // 1..512 wide-engine lanes
-};
-
-SimdCase generate_simd_case(Gen& g) {
-  const std::vector<AluSpec>& specs = all_specs();
-  const AluSpec& spec = specs[g.below(specs.size())];
-  SimdCase c;
-  c.alu = spec.name;
-  const std::size_t n_percents = g.length(1, 2);
-  for (std::uint64_t i :
-       g.distinct_below(kPercentPool.size(), n_percents)) {
-    c.percents.push_back(kPercentPool[i]);
-  }
-  // Mostly cheap cases; occasionally enough trials to spill past the
-  // first 64-lane word so the multi-word active masks and cross-word
-  // scoring actually run with more than a partial group.
-  c.trials = static_cast<int>(g.boolean(0.25) ? g.in_range(65, 140)
-                                              : g.in_range(1, 4));
-  c.seed = g.u64();
-  c.policy = g.pick({std::string("round"), std::string("floor"),
-                     std::string("bernoulli"), std::string("burst")});
-  c.burst_length = c.policy == "burst" ? g.in_range(1, 4) : 1;
-  if (g.boolean(0.3)) {
-    c.scope = "datapath";
-    c.datapath_sites = g.in_range(1, spec.expected_sites);
-  }
-  c.lanes = static_cast<unsigned>(g.in_range(1, 512));
-  return c;
-}
-
-std::string simd_case_json(const SimdCase& c) {
-  std::ostringstream os;
-  os << "{\"family\": \"" << kSimdName << "\", \"alu\": \""
-     << json_escape(c.alu) << "\", \"percents\": [";
-  for (std::size_t i = 0; i < c.percents.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << json_double(c.percents[i]);
-  }
-  os << "], \"trials\": " << c.trials << ", \"seed\": " << c.seed
-     << ", \"policy\": \"" << c.policy
-     << "\", \"burst_length\": " << c.burst_length << ", \"scope\": \""
-     << c.scope << "\", \"datapath_sites\": " << c.datapath_sites
-     << ", \"lanes\": " << c.lanes << "}";
-  return os.str();
-}
-
-std::optional<SimdCase> simd_case_from_json(const JsonValue& doc) {
-  if (!family_matches(doc, kSimdName)) {
-    return std::nullopt;
-  }
-  const JsonValue* alu = require(doc, "alu", JsonValue::Kind::kString);
-  const JsonValue* percents =
-      require(doc, "percents", JsonValue::Kind::kArray);
-  const JsonValue* trials = require(doc, "trials", JsonValue::Kind::kNumber);
-  const JsonValue* seed = require(doc, "seed", JsonValue::Kind::kNumber);
-  const JsonValue* policy = require(doc, "policy", JsonValue::Kind::kString);
-  const JsonValue* burst =
-      require(doc, "burst_length", JsonValue::Kind::kNumber);
-  const JsonValue* scope = require(doc, "scope", JsonValue::Kind::kString);
-  const JsonValue* dp =
-      require(doc, "datapath_sites", JsonValue::Kind::kNumber);
-  const JsonValue* lanes = require(doc, "lanes", JsonValue::Kind::kNumber);
-  if (alu == nullptr || percents == nullptr || trials == nullptr ||
-      seed == nullptr || policy == nullptr || burst == nullptr ||
-      scope == nullptr || dp == nullptr || lanes == nullptr) {
-    return std::nullopt;
-  }
-  SimdCase c;
-  c.alu = alu->as_string();
-  for (const JsonValue& p : percents->items()) {
-    if (!p.is_number()) {
-      return std::nullopt;
-    }
-    c.percents.push_back(p.as_double().value_or(0.0));
-  }
-  c.trials = static_cast<int>(trials->as_i64().value_or(1));
-  c.seed = seed->as_u64().value_or(0);
-  c.policy = policy->as_string();
-  c.burst_length =
-      static_cast<std::size_t>(burst->as_u64().value_or(1));
-  c.scope = scope->as_string();
-  c.datapath_sites = static_cast<std::size_t>(dp->as_u64().value_or(0));
-  c.lanes = static_cast<unsigned>(lanes->as_u64().value_or(1));
-  return c;
-}
-
-std::optional<std::string> run_simd_case(const SimdCase& c) {
-  const std::unique_ptr<IAlu> alu = make_alu(c.alu);
-  if (alu == nullptr) {
-    return "invalid case: unknown alu '" + c.alu + "'";
-  }
-  const std::optional<FaultCountPolicy> policy = parse_policy(c.policy);
-  if (!policy.has_value()) {
-    return "invalid case: unknown policy '" + c.policy + "'";
-  }
-  if (c.scope != "all" && c.scope != "datapath") {
-    return "invalid case: unknown scope '" + c.scope + "'";
-  }
-  if (c.percents.empty() || c.trials < 1 || c.lanes < 1 ||
-      c.lanes > kMaxBatchLanes || c.burst_length < 1) {
-    return "invalid case: empty percents or knob out of range";
-  }
-  if (c.scope == "datapath" &&
-      (c.datapath_sites < 1 || c.datapath_sites > alu->fault_sites())) {
-    return "invalid case: datapath_sites out of [1, fault_sites]";
-  }
-
-  SweepSpec spec;
-  spec.percents = c.percents;
-  spec.trials_per_workload = c.trials;
-  spec.seed = c.seed;
-  spec.policy = *policy;
-  spec.burst_length = c.burst_length;
-  spec.scope = c.scope == "datapath" ? InjectionScope::kDatapathOnly
-                                     : InjectionScope::kAll;
-  spec.datapath_sites = c.scope == "datapath" ? c.datapath_sites : 0;
-
-  const std::vector<std::vector<Instruction>> streams =
-      paper_streams(c.seed);
-
-  const auto engine = [](unsigned lanes) {
-    ParallelConfig par;
-    par.threads = 1;
-    par.batch_lanes = lanes;
-    return TrialEngine(par);
-  };
-
-  // Baseline: the scalar trial engine (no lanes, no tiers involved).
-  const SweepAnatomy base = engine(0).sweep_anatomy(*alu, streams, spec);
-
-  const simd::SimdTier tiers[] = {simd::SimdTier::kScalar,
-                                  simd::SimdTier::kAvx2,
-                                  simd::SimdTier::kAvx512};
-  for (const simd::SimdTier tier : tiers) {
-    if (!simd::tier_supported(tier)) {
-      continue;
-    }
-    const simd::ScopedTierOverride forced(tier);
-    const SweepAnatomy got = engine(c.lanes).sweep_anatomy(*alu, streams,
-                                                           spec);
-    std::string variant = "wide-";
-    variant += simd::tier_name(tier);
-    variant += "@" + std::to_string(c.lanes) + "-lanes";
-    if (std::optional<std::string> msg =
-            compare_points(base.points, got.points, variant.c_str())) {
-      return msg;
-    }
-    if (base.metrics.size() != got.metrics.size()) {
-      return variant + ": anatomy metrics count differs from scalar";
-    }
-    for (std::size_t i = 0; i < base.metrics.size(); ++i) {
-      if (!(base.metrics[i] == got.metrics[i])) {
-        std::ostringstream os;
-        os << variant
-           << ": anatomy counters diverge from scalar at percent index "
-           << i << " (" << show(spec.percents[i]) << "%)";
-        return os.str();
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-std::vector<SimdCase> shrink_simd_case(const SimdCase& c) {
-  std::vector<SimdCase> out;
-  if (c.percents.size() > 1) {
-    for (std::size_t i = 0; i < c.percents.size(); ++i) {
-      SimdCase s = c;
-      s.percents.erase(s.percents.begin() + static_cast<std::ptrdiff_t>(i));
-      out.push_back(std::move(s));
-    }
-  }
-  if (c.trials > 1) {
-    SimdCase s = c;
-    s.trials = 1;
-    out.push_back(std::move(s));
-  }
-  if (c.policy != "round") {
-    SimdCase s = c;
-    s.policy = "round";
-    s.burst_length = 1;
-    out.push_back(std::move(s));
-  }
-  if (c.scope != "all") {
-    SimdCase s = c;
-    s.scope = "all";
-    s.datapath_sites = 0;
-    out.push_back(std::move(s));
-  }
-  if (c.lanes > 64) {
-    SimdCase s = c;
-    s.lanes = 64;
-    out.push_back(std::move(s));
-  }
-  if (c.lanes > 1) {
-    SimdCase s = c;
-    s.lanes = 1;
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
 // --------------------------------------------- scenario-differential
 
 constexpr const char* kScenarioName = "scenario-differential";
@@ -603,7 +387,7 @@ constexpr const char* kScenarioName = "scenario-differential";
 /// from a twin Rng); a remap plan is injective and, when feasible,
 /// never reads a known-defective site. Then the differential: the
 /// scenario sweep must be bit-identical through scalar-serial,
-/// scalar-threaded, every forced SIMD tier at the generated lane count,
+/// scalar-threaded, the serial wide engine at the generated lane count,
 /// and the threaded wide engine — and when the schedule degenerates to
 /// i.i.d. (constant kind or end_factor == 1) with 1-D bursts, it must
 /// reproduce the default-scenario sweep bitwise, seeds and all.
@@ -969,22 +753,10 @@ std::optional<std::string> run_scenario_case(const ScenarioCase& c) {
     return msg;
   }
 
-  const simd::SimdTier tiers[] = {simd::SimdTier::kScalar,
-                                  simd::SimdTier::kAvx2,
-                                  simd::SimdTier::kAvx512};
-  for (const simd::SimdTier tier : tiers) {
-    if (!simd::tier_supported(tier)) {
-      continue;
-    }
-    const simd::ScopedTierOverride forced(tier);
-    std::string variant = "wide-";
-    variant += simd::tier_name(tier);
-    variant += "@" + std::to_string(c.lanes) + "-lanes";
-    if (std::optional<std::string> msg = compare_anatomy(
-            base, engine(1, c.lanes).sweep_anatomy(*alu, streams, spec),
-            variant)) {
-      return msg;
-    }
+  if (std::optional<std::string> msg = compare_anatomy(
+          base, engine(1, c.lanes).sweep_anatomy(*alu, streams, spec),
+          "wide@" + std::to_string(c.lanes) + "-lanes")) {
+    return msg;
   }
 
   return compare_anatomy(
@@ -1979,17 +1751,6 @@ Property engine_differential_property() {
   return Property::make(std::move(def));
 }
 
-Property simd_differential_property() {
-  PropertyDef<SimdCase> def;
-  def.name = kSimdName;
-  def.generate = generate_simd_case;
-  def.run = run_simd_case;
-  def.shrink = shrink_simd_case;
-  def.to_json = simd_case_json;
-  def.from_json = simd_case_from_json;
-  return Property::make(std::move(def));
-}
-
 Property scenario_differential_property() {
   PropertyDef<ScenarioCase> def;
   def.name = kScenarioName;
@@ -2037,7 +1798,6 @@ Property pipeline_differential_property() {
 std::vector<Property> oracle_properties() {
   std::vector<Property> out;
   out.push_back(engine_differential_property());
-  out.push_back(simd_differential_property());
   out.push_back(scenario_differential_property());
   out.push_back(pipeline_differential_property());
   out.push_back(alu_vs_cmos_property());
@@ -2058,9 +1818,6 @@ std::optional<Property> oracle_property_by_name(std::string_view name) {
 std::size_t default_smoke_cases(std::string_view property_name) {
   if (property_name == kEngineName) {
     return 24;
-  }
-  if (property_name == kSimdName) {
-    return 16;
   }
   if (property_name == kScenarioName) {
     return 12;

@@ -2,7 +2,7 @@
 //
 // The paper's argument is statistical, so the statistics machinery gets
 // the strongest oracle treatment we can afford: rather than pinning a
-// handful of hand-picked goldens, seven families of *generated* cases
+// handful of hand-picked goldens, six families of *generated* cases
 // cross-examine independent implementations of the same contract:
 //
 //   engine-differential — a generated SweepSpec (ALU, percents, trials,
@@ -10,19 +10,13 @@
 //       DataPoints through every execution path of the TrialEngine:
 //       scalar serial, batched lanes (1..512, single- and multi-word),
 //       thread pool, and the anatomy variants (whose counters must also
-//       agree scalar-vs-batched).
-//
-//   simd-differential — a generated SweepSpec run through the wide lane
-//       engine at a generated lane count (1..512) under EVERY
-//       compiled-in + CPU-supported SIMD dispatch tier, forced one at a
-//       time via simd::ScopedTierOverride: each tier's DataPoints and
-//       anatomy counters must be bit-identical to the scalar trial
-//       engine's (hence every tier pairwise identical too).
+//       agree scalar-vs-batched). A quarter of the cases draw 65..140
+//       trials, so multi-group cells and cross-word scoring run too.
 //
 //   scenario-differential — a generated FaultScenario (wear-out rate
 //       schedule: constant/linear/weibull toward base*end_factor, plus
 //       2-D burst geometry) must be bit-identical through scalar serial,
-//       scalar threaded, every forced SIMD tier at a generated lane
+//       scalar threaded, the serial wide engine at a generated lane
 //       count, and the threaded wide engine — scenario counters
 //       included; an i.i.d.-degenerate schedule must reproduce the
 //       default-scenario sweep bitwise. The same case also checks the
@@ -79,7 +73,6 @@
 namespace nbx::check {
 
 Property engine_differential_property();
-Property simd_differential_property();
 Property scenario_differential_property();
 Property pipeline_differential_property();
 Property alu_vs_cmos_property();

@@ -60,7 +60,7 @@ class Netlist {
  public:
   /// One gate of the DAG. Public so lane-sliced evaluators outside this
   /// class (the SIMD lane engine's templated evaluate; see
-  /// src/simd/lane_engine_inl.hpp) can walk the structure via gates().
+  /// src/simd/lane_engine.cpp) can walk the structure via gates().
   struct Gate {
     GateOp op;
     std::vector<Signal> fanin;
@@ -104,7 +104,7 @@ class Netlist {
 
   /// The gate DAG in topological (creation/site) order — gate i's output
   /// is node i and fault site i. Read-only structural view for the lane
-  /// engine's wide netlist kernel (simd/lane_engine_inl.hpp).
+  /// engine's wide netlist kernel (simd/lane_engine.cpp).
   [[nodiscard]] const std::vector<Gate>& gates() const { return gates_; }
 
   /// Per-operator gate counts (debugging / area accounting).

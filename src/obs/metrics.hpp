@@ -45,8 +45,8 @@
 
 namespace nbx::obs {
 
-/// One key=value metric label. Small sets only (backend, simd_tier,
-/// lanes, scheme, ...): labels multiply time series, so keep
+/// One key=value metric label. Small sets only (backend, lanes,
+/// scheme, ...): labels multiply time series, so keep
 /// cardinality tiny.
 struct MetricLabel {
   std::string key;

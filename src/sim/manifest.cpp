@@ -9,7 +9,6 @@
 #include "common/rng.hpp"
 #include "fault/mask_generator.hpp"
 #include "obs/json.hpp"
-#include "simd/simd_dispatch.hpp"
 
 // Build-context macros are injected by src/sim/CMakeLists.txt
 // (set_source_files_properties on this file only, so edits to the git
@@ -57,6 +56,20 @@ std::string utc_timestamp() {
   return buf;
 }
 
+/// The widest x86 vector ISA the host CPU advertises — provenance only;
+/// the lane kernel is compiled once with the project's default flags.
+std::string host_vector_isa() {
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx512f") != 0) {
+    return "avx512";
+  }
+  if (__builtin_cpu_supports("avx2") != 0) {
+    return "avx2";
+  }
+#endif
+  return "scalar";
+}
+
 void hash_line(std::uint64_t& h, const std::string& line) {
   // Chain FNV-1a over "key=value\n" lines — the same canonical shape
   // the golden-registry fingerprint uses.
@@ -94,8 +107,7 @@ RunManifest RunManifest::capture(unsigned threads, unsigned lanes) {
   m.compiler = compiler_string();
   m.hostname = hostname_string();
   m.timestamp_utc = utc_timestamp();
-  m.cpu_simd_tier = std::string(simd::tier_name(simd::best_tier()));
-  m.active_simd_tier = std::string(simd::tier_name(simd::active_tier()));
+  m.cpu_simd_tier = host_vector_isa();
   m.seed_chain_fingerprint = nbx::seed_chain_fingerprint();
   m.golden_registry_fingerprint = kGoldenRegistryFingerprint;
   m.threads = threads;

@@ -43,8 +43,11 @@ struct RunManifest {
   std::string compiler;        ///< compiler id + __VERSION__
   std::string hostname;        ///< gethostname()
   std::string timestamp_utc;   ///< ISO 8601, e.g. "2026-08-08T12:34:56Z"
-  std::string cpu_simd_tier;   ///< best tier this CPU supports
-  std::string active_simd_tier;  ///< tier the run actually dispatched
+  std::string cpu_simd_tier;   ///< widest vector ISA the host CPU has
+  /// The lane kernel the run used: always "scalar", the one kernel,
+  /// built with the project's default flags. Kept in the schema because
+  /// manifest readers (perfbench's banner) print it.
+  std::string active_simd_tier = "scalar";
   std::uint64_t seed_chain_fingerprint = 0;
   std::uint64_t golden_registry_fingerprint = kGoldenRegistryFingerprint;
   unsigned threads = 0;        ///< resolved worker-thread count

@@ -9,7 +9,6 @@
 #include "common/batch_bitvec.hpp"
 #include "obs/metrics.hpp"
 #include "simd/lane_engine.hpp"
-#include "simd/simd_dispatch.hpp"
 #include "simd/wide_mirror.hpp"
 #include "workload/image_ops.hpp"
 
@@ -193,13 +192,11 @@ simd::WideArena& wide_arena() {
 // trial seed and the shared mask-generation core consumes it
 // draw-for-draw like the scalar path, so each lane regenerates its
 // trial's mask stream verbatim; the SIMD lane engine (src/simd/) then
-// computes all lanes at once on the dispatch tier resolved once per
-// run. Same sample vector, same flat [percent][workload][trial] order,
-// bit-identical values on every tier and every width.
+// computes all lanes at once. Same sample vector, same flat
+// [percent][workload][trial] order, bit-identical values at every width.
 struct WideSweepBackend {
   const IAlu& alu;
   const simd::WideMirror& mirror;
-  simd::SimdTier tier;
   std::size_t lane_words;
   const std::vector<std::vector<Instruction>>& streams;
   const SweepSpec& spec;
@@ -243,7 +240,7 @@ struct WideSweepBackend {
     // therefore runs at its own effective rate: per-lane generators (the
     // i.i.d. fast path keeps the single shared generator and a null
     // job.gens). Seeds always hash the lane's *effective* rate — exactly
-    // what the scalar backend does — so every tier and width reproduces
+    // what the scalar backend does — so every width reproduces
     // the scalar mask streams verbatim.
     const bool iid = spec.scenario.is_iid();
     ar.gens.clear();
@@ -282,7 +279,7 @@ struct WideSweepBackend {
     job.inject_sites = inject_sites;
     job.anatomy = per_group != nullptr ? &(*per_group)[item] : nullptr;
     job.arena = &ar;
-    simd::run_wide_group(tier, lane_words, job);
+    simd::run_wide_group(lane_words, job);
 
     if (job.anatomy != nullptr) {
       for (unsigned l = 0; l < in_group; ++l) {
@@ -368,7 +365,7 @@ std::vector<double> run_grid(
     }
     if (obs::MetricsRegistry* reg = obs::metrics()) {
       const std::vector<obs::MetricLabel> labels{
-          {"backend", "scalar"}, {"simd_tier", "scalar"}, {"lanes", "0"}};
+          {"backend", "scalar"}, {"lanes", "0"}};
       reg->counter("engine_trials_total", labels).add(samples.size());
       reg->counter("engine_runs_total", labels).increment();
     }
@@ -388,16 +385,12 @@ std::vector<double> run_grid(
                                        : total_sites;
   assert(inject_sites <= total_sites);
 
-  // The dispatch tier is resolved exactly once per run, before workers
-  // start (set_tier_override / NBX_SIMD_TIER are not read concurrently).
-  const simd::SimdTier tier = simd::active_tier();
   std::vector<obs::Counters> per_group;
   if (anatomy != nullptr) {
     per_group.resize(total_groups);
   }
   WideSweepBackend backend{alu,
                            *mirror,
-                           tier,
                            lane_words,
                            streams,
                            spec,
@@ -420,9 +413,7 @@ std::vector<double> run_grid(
   }
   if (obs::MetricsRegistry* reg = obs::metrics()) {
     const std::vector<obs::MetricLabel> labels{
-        {"backend", "wide"},
-        {"simd_tier", std::string(simd::tier_name(tier))},
-        {"lanes", std::to_string(lanes)}};
+        {"backend", "wide"}, {"lanes", std::to_string(lanes)}};
     reg->counter("engine_trials_total", labels).add(samples.size());
     reg->counter("engine_runs_total", labels).increment();
     reg->counter("engine_lane_groups_total", labels).add(total_groups);
@@ -438,7 +429,6 @@ std::vector<double> run_grid(
     // representative worker footprint.
     reg->gauge("engine_arena_bytes", labels)
         .set(static_cast<double>(wide_arena().bytes()));
-    reg->gauge("engine_simd_tier").set(static_cast<double>(tier));
   }
   return samples;
 }

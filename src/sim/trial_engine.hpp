@@ -101,18 +101,17 @@ struct ParallelConfig {
   std::size_t chunking = 0;  ///< trials per work unit; 0 = auto
   /// Trials packed per bit-parallel batch (see src/simd/):
   /// 1..512 = SIMD-wide lane engine with that many lanes per group
-  /// (rounded up internally to a whole 64/128/256/512-bit site row; the
-  /// SIMD dispatch tier is CPUID-resolved per run, overridable via
-  /// NBX_SIMD_TIER or simd::set_tier_override); 0 = the scalar IAlu
-  /// engine, kept as the oracle differential checks compare against.
+  /// (rounded up internally to a whole 64/128/256/512-bit site row; one
+  /// kernel, compiled with the project's default flags); 0 = the scalar
+  /// IAlu engine, kept as the oracle differential checks compare against.
   /// The default is one lane word: wider groups buy little more on the
   /// paper sweeps and cost resident memory (the per-worker mask arena
   /// grows with the width). ALUs without a word-parallel mirror (the
   /// `hw` read-path cores) run on the scalar engine at any width. Any
-  /// value on any tier yields bit-identical results — lanes reuse the
-  /// scalar per-trial seeds verbatim — so this is purely a throughput
-  /// knob. Composes with `threads`: the work unit becomes a lane group
-  /// instead of a single trial.
+  /// value yields bit-identical results — lanes reuse the scalar
+  /// per-trial seeds verbatim — so this is purely a throughput knob.
+  /// Composes with `threads`: the work unit becomes a lane group instead
+  /// of a single trial.
   unsigned batch_lanes = kLanesPerWord;
   /// Optional stage profiler (not owned): when set, the engine times
   /// each work item under its backend's stage name ("trial" scalar,
@@ -161,7 +160,7 @@ struct SweepSpec {
   /// is the paper's i.i.d. model: trial t's rate is schedule.at(percent,
   /// t, trials) and enters the counter-based trial seed by bit pattern,
   /// so a constant schedule reproduces historical results exactly and
-  /// every schedule is bit-identical across threads × lanes × SIMD tiers.
+  /// every schedule is bit-identical across threads × lanes.
   /// (Brace-initialised so designated initialisers may omit it.)
   FaultScenario scenario{};
 };

@@ -1,15 +1,13 @@
-// wide_mirror.hpp — the tier-independent structural mirror the SIMD lane
-// engine evaluates.
+// wide_mirror.hpp — the structural mirror the SIMD lane engine
+// evaluates.
 //
 // WideMirror::create walks an IAlu's concrete structure once and keeps
 // the *data* — which cores/voters exist, each LUT's decode tables
 // (LutTables), mask-segment offsets, netlists and output signals — in
-// one plain object that every dispatch tier's kernels consume. The
-// mirror itself never computes; computing is the per-tier templated
-// code in lane_engine_inl.hpp. Building the mirror is per-engine-run
-// (cheap, read-only, shared across worker threads), so tiers cannot
-// disagree about structure, only about register width — and the width
-// is verified bit-identical by the nbxcheck simd-differential family.
+// one plain object that the lane kernels consume. The mirror itself
+// never computes; computing is the templated code in lane_engine.cpp.
+// Building the mirror is per-engine-run (cheap, read-only, shared
+// across worker threads).
 #pragma once
 
 #include <cstddef>
@@ -24,7 +22,7 @@
 namespace nbx::simd {
 
 /// The constant decode tables of one CodedLut, in the form the lane
-/// kernels read (lane_engine_inl.hpp). Addresses are lane-sliced, so a
+/// kernels read (lane_engine.cpp). Addresses are lane-sliced, so a
 /// read is a Shannon mux tree over these leaves; every leaf is a 64-bit
 /// broadcast word (all-zero or all-one) that a wide lane vector splats
 /// across its lane words. Per coding:

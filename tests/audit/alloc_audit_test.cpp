@@ -2,11 +2,11 @@
 // engine.
 //
 // The batched backend's throughput story depends on the per-worker
-// arena (src/simd/lane_kernels.hpp): after a warm-up group has sized the
+// arena (src/simd/lane_engine.hpp): after a warm-up group has sized the
 // thread-local buffers, running more trials must allocate NOTHING —
 // every lane group reuses the same mask matrix, RNG array, scorer and
-// netlist scratch. This binary replaces the global operator new/delete
-// pair with a counting shim and asserts that two engine runs differing
+// netlist scratch. This binary replaces every global operator new/delete
+// form (throwing, nothrow, array, aligned) with a counting shim and asserts that two engine runs differing
 // ONLY in trial count perform exactly the same number of heap
 // allocations; any per-trial or per-group allocation would make the
 // longer run allocate more. It lives in its own test binary
@@ -17,10 +17,12 @@
 // thread pool's one-off queue setup.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "alu/alu_factory.hpp"
 #include "cell/processor_cell.hpp"
@@ -39,11 +41,25 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+
+// Every replaced operator new below funnels into these two, so the
+// throwing, nothrow, array and aligned forms are all counted and all
+// paired with the std::free in the replaced operator deletes.
+void* counted_malloc(std::size_t n) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n != 0 ? n : 1);
+}
+
+void* counted_aligned_alloc(std::size_t n, std::align_val_t al) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(al);
+  const std::size_t padded = (n + a - 1) / a * a;
+  return std::aligned_alloc(a, padded != 0 ? padded : a);
+}
 }  // namespace
 
 void* operator new(std::size_t n) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) {
+  if (void* p = counted_malloc(n)) {
     return p;
   }
   throw std::bad_alloc();
@@ -52,10 +68,7 @@ void* operator new(std::size_t n) {
 void* operator new[](std::size_t n) { return ::operator new(n); }
 
 void* operator new(std::size_t n, std::align_val_t al) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  const auto a = static_cast<std::size_t>(al);
-  const std::size_t padded = (n + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, padded != 0 ? padded : a)) {
+  if (void* p = counted_aligned_alloc(n, al)) {
     return p;
   }
   throw std::bad_alloc();
@@ -63,6 +76,26 @@ void* operator new(std::size_t n, std::align_val_t al) {
 
 void* operator new[](std::size_t n, std::align_val_t al) {
   return ::operator new(n, al);
+}
+
+// The nothrow forms: std::stable_sort's temporary buffer (e.g. metric
+// label canonicalisation) allocates through these. libstdc++'s own
+// versions forward to the throwing form above, but a runtime that
+// supplies its own (ASan does) would allocate uncounted and hand the
+// block to the std::free below.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void* operator new(std::size_t n, std::align_val_t al,
+                   const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(n, al);
+}
+void* operator new[](std::size_t n, std::align_val_t al,
+                     const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(n, al);
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
@@ -77,6 +110,20 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -312,6 +359,22 @@ TEST(AllocAudit, CountingAllocatorIsLive) {
   auto* p = new std::vector<int>(1000);
   delete p;
   EXPECT_GT(g_allocations.load(std::memory_order_relaxed), before);
+}
+
+TEST(AllocAudit, CountingAllocatorSeesNothrowAllocations) {
+  // std::stable_sort takes its temporary buffer through the nothrow
+  // operator new. Under ASan a shim that missed that form under-counts
+  // it and pairs ASan's new with the shim's free (an alloc-dealloc
+  // mismatch in the metric label canonicalisation).
+  std::vector<int> v(1000);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<int>((i * 7919) % 1000);
+  }
+  const std::uint64_t before =
+      g_allocations.load(std::memory_order_relaxed);
+  std::stable_sort(v.begin(), v.end());
+  EXPECT_GT(g_allocations.load(std::memory_order_relaxed), before);
+  EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
 }
 
 }  // namespace

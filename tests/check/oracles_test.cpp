@@ -33,10 +33,6 @@ TEST(OracleSmoke, EngineDifferentialHolds) {
   run_family_clean(engine_differential_property());
 }
 
-TEST(OracleSmoke, SimdDifferentialHolds) {
-  run_family_clean(simd_differential_property());
-}
-
 TEST(OracleSmoke, ScenarioDifferentialHolds) {
   run_family_clean(scenario_differential_property());
 }
@@ -67,7 +63,7 @@ TEST(OracleRegistry, NamesResolveAndAreUnique) {
     names.push_back(p.name());
     EXPECT_TRUE(oracle_property_by_name(p.name()).has_value()) << p.name();
   }
-  EXPECT_EQ(names.size(), 7u);
+  EXPECT_EQ(names.size(), 6u);
   for (std::size_t i = 0; i < names.size(); ++i) {
     for (std::size_t j = i + 1; j < names.size(); ++j) {
       EXPECT_NE(names[i], names[j]);

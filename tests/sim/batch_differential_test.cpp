@@ -149,5 +149,43 @@ TEST_F(BatchDifferential, BatchedHonoursAlternativePolicies) {
   }
 }
 
+// Every catalogued ALU — every bit-level decode path (uncoded, Hamming,
+// TMR, Hsiao, ideal-Hamming, interleaved TMR, Reed-Solomon, the
+// gate-level TMR read path, the CMOS netlist) and both module
+// organisations — at a ragged two-word group (96 = 64 + 32 lanes) must
+// match the scalar oracle point-for-point and counter-for-counter. 50%
+// is the dense regime: multi-bit masks give invalid Hamming syndromes
+// and false-positive corrections, and touch nearly every Hsiao/RS
+// segment so those lanes take the scalar decoder.
+TEST_F(BatchDifferential, EveryAluDecodesLikeTheScalarEngineAt96Lanes) {
+  SweepSpec spec;
+  spec.percents = {2.0, 50.0};
+  spec.trials_per_workload = 2;
+  spec.seed = 20260808;
+  const auto wl = paper_streams(spec.seed);
+  for (const AluSpec& s : all_specs()) {
+    const auto alu = make_alu(s.name);
+    ASSERT_NE(alu, nullptr) << s.name;
+    const SweepAnatomy base =
+        TrialEngine(ParallelConfig{1, 0, 0, nullptr})
+            .sweep_anatomy(*alu, wl, spec);
+    ParallelConfig wide_cfg;
+    wide_cfg.batch_lanes = 96;
+    const SweepAnatomy wide =
+        TrialEngine(wide_cfg).sweep_anatomy(*alu, wl, spec);
+    ASSERT_EQ(wide.points.size(), base.points.size()) << s.name;
+    for (std::size_t i = 0; i < base.points.size(); ++i) {
+      expect_identical(base.points[i], wide.points[i],
+                       s.name + " @ " + std::to_string(spec.percents[i]) +
+                           "% x 96 lanes");
+    }
+    ASSERT_EQ(wide.metrics.size(), base.metrics.size()) << s.name;
+    for (std::size_t i = 0; i < base.metrics.size(); ++i) {
+      EXPECT_TRUE(wide.metrics[i] == base.metrics[i])
+          << s.name << " anatomy diverged at percent index " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nbx

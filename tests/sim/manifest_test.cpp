@@ -23,7 +23,7 @@ TEST(Manifest, CaptureFillsEveryField) {
   EXPECT_FALSE(m.compiler.empty());
   EXPECT_FALSE(m.hostname.empty());
   EXPECT_FALSE(m.cpu_simd_tier.empty());
-  EXPECT_FALSE(m.active_simd_tier.empty());
+  EXPECT_EQ(m.active_simd_tier, "scalar");
   EXPECT_NE(m.seed_chain_fingerprint, 0u);
   EXPECT_EQ(m.golden_registry_fingerprint, kGoldenRegistryFingerprint);
   EXPECT_EQ(m.threads, 4u);

@@ -6,8 +6,8 @@
 //     point (goldens::kAlussAt2Pct) bit-for-bit — scheduling must cost
 //     nothing when there is no drift;
 //   * the pinned wear-out point (goldens::kAlussWearLinear3x) holds
-//     bit-identically across threads {1, 8} x lanes {0, 64, 512} x every
-//     CPU-supported SIMD tier — the acceptance matrix for scenarios.
+//     bit-identically across threads {1, 8} x lanes {0, 64, 512} — the
+//     acceptance matrix for scenarios.
 //
 // If a PR changes these values ON PURPOSE, re-pin the registry (and the
 // fingerprint in goldens_schema_test.cpp) and say so in the PR.
@@ -19,7 +19,6 @@
 #include "alu/alu_factory.hpp"
 #include "goldens.hpp"
 #include "sim/trial_engine.hpp"
-#include "simd/simd_dispatch.hpp"
 
 namespace nbx {
 namespace {
@@ -87,34 +86,24 @@ TEST(ScenarioGolden, WearOutSweepMatchesThePinnedPoint) {
 }
 
 TEST(ScenarioGolden, WearOutPointHoldsAcrossThreadsLanesAndTiers) {
-  // The acceptance matrix: threads {1, 8} x lanes {0, 64, 512} x every
-  // CPU-supported SIMD tier, every cell bit-identical to the pinned
-  // scalar numbers. EXPECT_EQ, not DOUBLE_EQ — bitwise is the contract.
+  // The acceptance matrix: threads {1, 8} x lanes {0, 64, 512}, every
+  // cell bit-identical to the pinned scalar numbers. EXPECT_EQ, not
+  // DOUBLE_EQ — bitwise is the contract.
   const auto alu = make_alu(kWear.alu);
   const auto streams = paper_streams(kWear.seed);
   const SweepSpec spec = wear_spec();
-  const simd::SimdTier tiers[] = {simd::SimdTier::kScalar,
-                                  simd::SimdTier::kAvx2,
-                                  simd::SimdTier::kAvx512};
-  for (const simd::SimdTier tier : tiers) {
-    if (!simd::tier_supported(tier)) {
-      continue;
-    }
-    const simd::ScopedTierOverride forced(tier);
-    for (const unsigned threads : {1u, 8u}) {
-      for (const unsigned lanes : {0u, 64u, 512u}) {
-        const std::vector<DataPoint> pts =
-            engine(threads, lanes).sweep(*alu, streams, spec);
-        const std::string at = std::string(simd::tier_name(tier)) + "/" +
-                               std::to_string(threads) + "t/" +
-                               std::to_string(lanes) + "l";
-        ASSERT_EQ(pts.size(), 1u) << at;
-        EXPECT_EQ(pts[0].mean_percent_correct, kWear.mean_percent_correct)
-            << at;
-        EXPECT_EQ(pts[0].stddev, kWear.stddev) << at;
-        EXPECT_EQ(pts[0].ci95, kWear.ci95) << at;
-        EXPECT_EQ(pts[0].samples, kWear.samples) << at;
-      }
+  for (const unsigned threads : {1u, 8u}) {
+    for (const unsigned lanes : {0u, 64u, 512u}) {
+      const std::vector<DataPoint> pts =
+          engine(threads, lanes).sweep(*alu, streams, spec);
+      const std::string at =
+          std::to_string(threads) + "t/" + std::to_string(lanes) + "l";
+      ASSERT_EQ(pts.size(), 1u) << at;
+      EXPECT_EQ(pts[0].mean_percent_correct, kWear.mean_percent_correct)
+          << at;
+      EXPECT_EQ(pts[0].stddev, kWear.stddev) << at;
+      EXPECT_EQ(pts[0].ci95, kWear.ci95) << at;
+      EXPECT_EQ(pts[0].samples, kWear.samples) << at;
     }
   }
 }

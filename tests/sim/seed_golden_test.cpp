@@ -65,22 +65,33 @@ TEST(SeedGolden, ParallelPathReproducesTheGoldenPoint) {
   EXPECT_DOUBLE_EQ(p.stddev, kRef.stddev);
 }
 
-TEST(SeedGolden, BatchedEngineReproducesTheGoldenPoint) {
-  // The bit-parallel engine at 64 lanes must land on the same pinned
-  // numbers: per-trial seeds are reused verbatim, lanes only change the
-  // packing. EXPECT_EQ (not DOUBLE_EQ) — bit-identical is the contract.
+// The bit-parallel engine must land on the same pinned numbers at any
+// lane count: per-trial seeds are reused verbatim, lanes only change the
+// packing. EXPECT_EQ (not DOUBLE_EQ) — bit-identical is the contract.
+void expect_batched_golden(unsigned lanes) {
   const auto alu = make_alu(kRef.alu);
   const auto streams = paper_streams(kRef.seed);
   ParallelConfig par;
-  par.batch_lanes = 64;
+  par.batch_lanes = lanes;
   const DataPoint p = TrialEngine{par}.point(
       *alu, streams,
       {.percents = {kRef.fault_percent},
        .trials_per_workload = kRef.trials_per_workload, .seed = kRef.seed});
-  EXPECT_EQ(p.samples, kRef.samples);
-  EXPECT_EQ(p.mean_percent_correct, kRef.mean_percent_correct);
-  EXPECT_EQ(p.stddev, kRef.stddev);
-  EXPECT_EQ(p.ci95, kRef.ci95);
+  EXPECT_EQ(p.samples, kRef.samples) << "lanes=" << lanes;
+  EXPECT_EQ(p.mean_percent_correct, kRef.mean_percent_correct)
+      << "lanes=" << lanes;
+  EXPECT_EQ(p.stddev, kRef.stddev) << "lanes=" << lanes;
+  EXPECT_EQ(p.ci95, kRef.ci95) << "lanes=" << lanes;
+}
+
+TEST(SeedGolden, BatchedEngineReproducesTheGoldenPoint) {
+  // One lane word.
+  expect_batched_golden(64);
+}
+
+TEST(SeedGolden, FullWidthBatchedEngineReproducesTheGoldenPoint) {
+  // The full eight-word width, where every lane word of the kernel runs.
+  expect_batched_golden(512);
 }
 
 TEST(SeedGolden, BenchBatchJsonSchema) {
@@ -104,7 +115,6 @@ TEST(SeedGolden, BenchBatchJsonSchema) {
   r.metrics.emplace_back("batched_trials_per_second", 2560.0);
   r.extra.emplace_back("mode", "full");
   r.extra.emplace_back("bit_identical", "yes");
-  r.extra.emplace_back("simd_tier", "avx2");
   DataPoint p;
   p.alu = "aluss";
   p.fault_percent = 2.0;
@@ -121,7 +131,7 @@ TEST(SeedGolden, BenchBatchJsonSchema) {
         "\"scalar_seconds_aluss\"", "\"batched_seconds_aluss\"",
         "\"speedup_aluss\": 4", "\"min_speedup\": 4",
         "\"scalar_trials_per_second\"", "\"batched_trials_per_second\"",
-        "\"bit_identical\": \"yes\"", "\"simd_tier\": \"avx2\"",
+        "\"bit_identical\": \"yes\"",
         "\"alu\": \"aluss\"",
         "\"mean_percent_correct\": 98.90625"}) {
     EXPECT_NE(out.find(key), std::string::npos) << "missing " << key;

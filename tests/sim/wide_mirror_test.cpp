@@ -1,7 +1,7 @@
 // wide_mirror_test.cpp — the lane engine's structural mirror.
 //
 // The bit-identity differentials (batch_differential_test,
-// simd_tier_test) pass for an ALU without a mirror too, because the
+// engine-differential) pass for an ALU without a mirror too, because the
 // engine then runs it on the scalar backend; a Table-2 ALU that silently
 // lost its word-parallel mirror would only show up as lost throughput.
 // These tests pin which ALUs mirror, that each mirror's segment layout
