@@ -11,11 +11,13 @@
 //   wide512_vs_scalar   — 512-lane wide engine vs the scalar engine.
 //
 // The default fault percentage is low (0.1%) on purpose: at the paper's
-// 2% the per-trial cost is dominated by drawing fault sites (a scalar
-// RNG loop), which caps what wider registers can show; at 0.1% the
-// mux-tree evaluation dominates and width pays. Both regimes are
-// bit-identical either way — bench_batch gates identity, this bench
-// gates speed.
+// 2% much of the per-trial cost is drawing fault sites (per lane, in
+// MaskGenerator's Floyd loop), which caps what wider registers can
+// show; at 0.1% the mux-tree evaluation dominates and width pays.
+//
+// Every width is also checked against the scalar engine: the data
+// point must be bit-identical (mean, stddev, ci95, samples), and any
+// mismatch fails the run (exit 1) whether or not --gate is given.
 //
 //   bench_simd [--trials N] [--percent P] [--seed N] [--alus a,b]
 //              [--smoke] [--out PATH] [--gate PATH]
@@ -47,23 +49,38 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Best-of-N wall-clock for one data point; returns trials/second.
-double measure_tps(const TrialEngine& engine, const IAlu& alu,
-                   const std::vector<std::vector<Instruction>>& streams,
-                   const SweepSpec& spec, int repetitions) {
+/// One engine's measurement of the data point: best-of-N throughput,
+/// the total time spent, and the point itself (every repetition computes
+/// the same one).
+struct Measured {
+  double tps = 0.0;
+  double seconds = 0.0;
+  DataPoint point;
+};
+
+Measured measure(const TrialEngine& engine, const IAlu& alu,
+                 const std::vector<std::vector<Instruction>>& streams,
+                 const SweepSpec& spec, int repetitions) {
   const double trials_total =
       static_cast<double>(spec.trials_per_workload) *
       static_cast<double>(streams.size());
-  double best = 0.0;
+  Measured m;
   for (int rep = 0; rep < repetitions; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    (void)engine.point(alu, streams, spec);
+    m.point = engine.point(alu, streams, spec);
     const double s = seconds_since(t0);
+    m.seconds += s;
     if (s > 0.0) {
-      best = std::max(best, trials_total / s);
+      m.tps = std::max(m.tps, trials_total / s);
     }
   }
-  return best;
+  return m;
+}
+
+bool identical(const DataPoint& a, const DataPoint& b) {
+  return a.mean_percent_correct == b.mean_percent_correct &&
+         a.stddev == b.stddev && a.ci95 == b.ci95 &&
+         a.samples == b.samples;
 }
 
 /// Minimal floor-file reader: finds `"key"` and parses the number after
@@ -146,48 +163,46 @@ int main(int argc, char** argv) {
   for (const std::string& name : names) {
     const auto alu = make_alu(name);
 
-    // Same-run scalar-engine baseline (batch_lanes = 0).
+    // Same-run scalar-engine baseline (batch_lanes = 0): the throughput
+    // reference and the oracle every width must reproduce bit for bit.
     const TrialEngine scalar_engine{ParallelConfig{1, 0, 0, nullptr}};
-    const auto t0 = std::chrono::steady_clock::now();
-    const DataPoint scalar_point =
-        scalar_engine.point(*alu, streams, spec);
-    wall_total += seconds_since(t0);
-    const double scalar_tps =
-        measure_tps(scalar_engine, *alu, streams, spec, repetitions);
+    const Measured scalar =
+        measure(scalar_engine, *alu, streams, spec, repetitions);
+    wall_total += scalar.seconds;
+    const double scalar_tps = scalar.tps;
     report.metrics.emplace_back("scalar_trials_per_second_" + name,
                                 scalar_tps);
 
-    TextTable t({"lanes", "trials/s", "vs scalar", "512v64"});
+    TextTable t({"lanes", "trials/s", "vs scalar", "512v64", "identical"});
     double tps64 = 0.0;
     double tps512 = 0.0;
     for (const unsigned lanes : kWidths) {
       ParallelConfig par;
       par.batch_lanes = lanes;
       const TrialEngine wide_engine(par);
-      const double tps =
-          measure_tps(wide_engine, *alu, streams, spec, repetitions);
+      const Measured wide =
+          measure(wide_engine, *alu, streams, spec, repetitions);
+      const double tps = wide.tps;
+      wall_total += wide.seconds;
+      const bool same = identical(wide.point, scalar.point);
+      all_identical = all_identical && same;
       if (lanes == 64) {
         tps64 = tps;
       }
       if (lanes == 512) {
         tps512 = tps;
-        const DataPoint wide_point = wide_engine.point(*alu, streams, spec);
-        const bool same =
-            wide_point.mean_percent_correct ==
-                scalar_point.mean_percent_correct &&
-            wide_point.stddev == scalar_point.stddev &&
-            wide_point.samples == scalar_point.samples;
-        all_identical = all_identical && same;
       }
       report.metrics.emplace_back(
           "tps_" + std::to_string(lanes) + "_" + name, tps);
-      trials_total += static_cast<std::size_t>(trials) * streams.size() *
-                      static_cast<std::size_t>(repetitions);
       t.add_row({std::to_string(lanes), fmt_double(tps, 0),
                  fmt_double(scalar_tps > 0.0 ? tps / scalar_tps : 0.0, 2),
                  lanes == 512 && tps64 > 0.0 ? fmt_double(tps / tps64, 2)
-                                             : ""});
+                                             : "",
+                 same ? "yes" : "NO"});
     }
+    trials_total += static_cast<std::size_t>(trials) * streams.size() *
+                    static_cast<std::size_t>(repetitions) *
+                    (std::size(kWidths) + 1);
     const double ratio_512v64 = tps64 > 0.0 ? tps512 / tps64 : 0.0;
     const double wide_vs_scalar =
         scalar_tps > 0.0 ? tps512 / scalar_tps : 0.0;
@@ -218,7 +233,7 @@ int main(int argc, char** argv) {
 
   int status = all_identical ? 0 : 1;
   if (!all_identical) {
-    std::cout << "FAILED: wide engine diverged from the scalar engine\n";
+    std::cout << "FAILED: a lane width diverged from the scalar engine\n";
   }
 
   if (!gate_path.empty()) {

@@ -17,30 +17,30 @@ namespace {
 inline std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
-}  // namespace
 
-Rng::Rng(std::uint64_t seed) : seed_(seed) {
-  SplitMix64 sm(seed);
-  for (auto& s : s_) {
-    s = sm.next();
-  }
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
+/// xoshiro256** 1.0 step over caller-held state. Rng::next runs it on the
+/// member state; fill_below runs it on a local copy, which the compiler
+/// keeps in registers for a whole block of draws.
+inline std::uint64_t xoshiro_next(std::uint64_t& s0, std::uint64_t& s1,
+                                  std::uint64_t& s2, std::uint64_t& s3) {
+  const std::uint64_t result = rotl(s1 * 5, 7) * 9;
+  const std::uint64_t t = s1 << 17;
+  s2 ^= s0;
+  s3 ^= s1;
+  s1 ^= s2;
+  s0 ^= s3;
+  s2 ^= t;
+  s3 = rotl(s3, 45);
   return result;
 }
 
-std::uint64_t Rng::below(std::uint64_t bound) {
+/// Lemire's nearly-divisionless bounded draw: one multiply per draw, and
+/// the exact rejection loop (a division, then redraws) only when the low
+/// product word lands below `bound`. The one Lemire step shared by below
+/// and fill_below, so the two cannot drift apart.
+template <class Next>
+inline std::uint64_t lemire_below(Next& next, std::uint64_t bound) {
   assert(bound != 0);
-  // Lemire's nearly-divisionless bounded generation.
   std::uint64_t x = next();
   __uint128_t m = static_cast<__uint128_t>(x) * bound;
   auto l = static_cast<std::uint64_t>(m);
@@ -53,6 +53,38 @@ std::uint64_t Rng::below(std::uint64_t bound) {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
+}
+
+}  // namespace
+
+Rng::Rng(std::uint64_t seed) : seed_(seed) {
+  SplitMix64 sm(seed);
+  for (auto& s : s_) {
+    s = sm.next();
+  }
+}
+
+std::uint64_t Rng::next() { return xoshiro_next(s_[0], s_[1], s_[2], s_[3]); }
+
+std::uint64_t Rng::below(std::uint64_t bound) {
+  const auto draw = [this] { return next(); };
+  return lemire_below(draw, bound);
+}
+
+void Rng::fill_below(std::uint64_t first_bound, std::uint64_t* out,
+                     std::size_t n) {
+  std::uint64_t s0 = s_[0];
+  std::uint64_t s1 = s_[1];
+  std::uint64_t s2 = s_[2];
+  std::uint64_t s3 = s_[3];
+  const auto draw = [&] { return xoshiro_next(s0, s1, s2, s3); };
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = lemire_below(draw, first_bound + i);
+  }
+  s_[0] = s0;
+  s_[1] = s1;
+  s_[2] = s2;
+  s_[3] = s3;
 }
 
 double Rng::uniform01() {

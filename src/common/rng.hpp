@@ -6,6 +6,7 @@
 // a credible fault-injection study.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <string_view>
@@ -46,6 +47,14 @@ class Rng {
   /// Uniform integer in [0, bound). bound must be nonzero. Uses Lemire's
   /// multiply-shift rejection method to avoid modulo bias.
   std::uint64_t below(std::uint64_t bound);
+
+  /// Block form of below(): writes out[i] = below(first_bound + i) for i
+  /// in [0, n) — the same draws in the same order, leaving the generator
+  /// exactly where n below() calls would — with the state held in locals
+  /// for the whole block. first_bound must be nonzero and the bounds must
+  /// not wrap.
+  void fill_below(std::uint64_t first_bound, std::uint64_t* out,
+                  std::size_t n);
 
   /// Uniform double in [0, 1).
   double uniform01();

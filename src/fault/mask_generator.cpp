@@ -1,5 +1,6 @@
 #include "fault/mask_generator.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -108,18 +109,24 @@ void MaskGenerator::generate_into(Rng& rng, const SetBit& set_bit,
   }
   // Floyd's sampling with the mask itself as the chosen-set: the bits
   // set so far ARE the sample drawn so far (the mask segment starts
-  // clear, and iteration j can never land on an already-set j). One
-  // below(j + 1) draw per step — exactly the sequence the historical
-  // Rng::sample_without_replacement consumed, and the same final masks,
-  // but with no per-computation set/vector allocations. This loop is
-  // the simulator's hottest non-evaluation path (once per lane per
-  // instruction), so the allocation-free form matters.
-  for (std::size_t j = sites_ - k; j < sites_; ++j) {
-    const auto t = static_cast<std::size_t>(rng.below(j + 1));
-    if (test_bit(t)) {
-      set_bit(j);
-    } else {
-      set_bit(t);
+  // clear, and step j can never land on an already-set j). Step j draws
+  // t = below(j + 1) and sets t, or j when t is already set — the draws
+  // and final masks of the historical Rng::sample_without_replacement,
+  // with no allocation. This is the simulator's hottest non-evaluation
+  // path (once per lane per instruction), so it runs in two phases per
+  // stack block: the draws do not depend on the mask, so
+  // Rng::fill_below takes a block of them with the generator state in
+  // registers; then a branchless select applies them (at high fill "t
+  // already set?" is a coin flip a branch would mispredict, and GCC
+  // compiles the equivalent ternary to that branch).
+  std::uint64_t draws[kFloydBlock];
+  for (std::size_t j0 = sites_ - k; j0 < sites_; j0 += kFloydBlock) {
+    const std::size_t n = std::min(kFloydBlock, sites_ - j0);
+    rng.fill_below(j0 + 1, draws, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto t = static_cast<std::size_t>(draws[i]);
+      const std::size_t taken = 0 - static_cast<std::size_t>(test_bit(t));
+      set_bit(t ^ ((t ^ (j0 + i)) & taken));
     }
   }
 }

@@ -42,6 +42,10 @@ enum class FaultCountPolicy : std::uint8_t {
 /// Generates fresh uniformly random fault masks over a fixed site space.
 class MaskGenerator {
  public:
+  /// Floyd draws taken per Rng::fill_below call: the stack block that
+  /// uniform sampling fills, then applies to the mask.
+  static constexpr std::size_t kFloydBlock = 256;
+
   /// `sites` — number of fault-injection points (Table 2 column 2);
   /// `fault_percent` — the paper's x-axis value, in [0, 100];
   /// `burst_length` — contiguous run per strike (kBurst only, >= 1);
@@ -123,9 +127,9 @@ class MaskGenerator {
   std::size_t burst_rows_;
   std::size_t burst_row_stride_;
 
-  // Shared generation core: both public overloads funnel through this so
-  // their Rng consumption cannot diverge (defined in the .cpp; only the
-  // .cpp instantiates it).
+  // Shared generation core: every public overload funnels through this
+  // so their Rng consumption cannot diverge (defined in the .cpp; only
+  // the .cpp instantiates it).
   template <class SetBit, class FlipBit, class TestBit>
   void generate_into(Rng& rng, const SetBit& set_bit,
                      const FlipBit& flip_bit,

@@ -209,6 +209,9 @@ struct WideSweepBackend {
   std::size_t inject_sites;
   std::vector<double>& samples;
   std::vector<obs::Counters>* per_group;  ///< null = no anatomy
+  obs::Profiler* profiler;                ///< null = no kernel stages
+  std::size_t st_mask;
+  std::size_t st_evaluate;
 
   [[nodiscard]] std::size_t item_count() const { return total_groups; }
   [[nodiscard]] std::string_view stage() const { return "lane_group"; }
@@ -278,6 +281,9 @@ struct WideSweepBackend {
     job.total_sites = total_sites;
     job.inject_sites = inject_sites;
     job.anatomy = per_group != nullptr ? &(*per_group)[item] : nullptr;
+    job.profiler = profiler;
+    job.st_mask = st_mask;
+    job.st_evaluate = st_evaluate;
     job.arena = &ar;
     simd::run_wide_group(lane_words, job);
 
@@ -389,6 +395,12 @@ std::vector<double> run_grid(
   if (anatomy != nullptr) {
     per_group.resize(total_groups);
   }
+  // Kernel stage indices resolve once per run (stage_index locks).
+  obs::Profiler* const profiler = engine.parallel().profiler;
+  const std::size_t st_mask =
+      profiler != nullptr ? profiler->stage_index("mask") : 0;
+  const std::size_t st_evaluate =
+      profiler != nullptr ? profiler->stage_index("evaluate") : 0;
   WideSweepBackend backend{alu,
                            *mirror,
                            lane_words,
@@ -402,7 +414,10 @@ std::vector<double> run_grid(
                            total_sites,
                            inject_sites,
                            samples,
-                           anatomy != nullptr ? &per_group : nullptr};
+                           anatomy != nullptr ? &per_group : nullptr,
+                           profiler,
+                           st_mask,
+                           st_evaluate};
   engine.execute(backend);
   if (anatomy != nullptr) {
     anatomy->assign(spec.percents.size(), obs::Counters{});

@@ -116,8 +116,9 @@ struct ParallelConfig {
   /// Optional stage profiler (not owned): when set, the engine times
   /// each work item under its backend's stage name ("trial" scalar,
   /// "lane_group" batched, "grid_trial" system-level) and the
-  /// statistics fold under "fold". Wall-clock only; never affects
-  /// results.
+  /// statistics fold under "fold"; the lane kernel also splits each
+  /// group into "mask" and "evaluate" (one record per group each).
+  /// Wall-clock only; never affects results.
   obs::Profiler* profiler = nullptr;
 };
 

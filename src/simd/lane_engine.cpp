@@ -16,7 +16,8 @@
 //   * WideModuleExec driving the shared compute_single/space/time plans
 //     (alu/module_plan.hpp);
 //   * the group kernel: mask generation, compute and scoring of one
-//     lane group over a whole instruction stream.
+//     lane group over a whole instruction stream, timed as the `mask`
+//     and `evaluate` profiler stages when a profiler is attached.
 // Every W must be bit-identical to the scalar trial engine, including
 // anatomy counters (tests/sim/batch_differential_test.cpp, nbxcheck
 // engine-differential).
@@ -33,6 +34,7 @@
 #include "gatesim/netlist.hpp"
 #include "lut/coded_lut.hpp"
 #include "obs/counters.hpp"
+#include "obs/profiler.hpp"
 #include "simd/wide_mirror.hpp"
 
 namespace nbx::simd {
@@ -690,6 +692,19 @@ void run_group_impl(const WideGroupJob& job) {
   }
   std::uint32_t* incorrect = ar.incorrect.data();
   WideOut<W> out;
+  // Stage timing: one clock read after each phase, summed per group.
+  obs::Profiler* const prof = job.profiler;
+  const double group_start = prof != nullptr ? prof->now_seconds() : 0.0;
+  double mark = group_start;
+  double mask_seconds = 0.0;
+  double evaluate_seconds = 0.0;
+  const auto lap = [prof, &mark](double& stage_seconds) {
+    if (prof != nullptr) {
+      const double now = prof->now_seconds();
+      stage_seconds += now - mark;
+      mark = now;
+    }
+  };
   for (std::size_t n = 0; n < job.stream_len; ++n) {
     const Instruction& ins = job.stream[n];
     mask.clear_all();
@@ -701,6 +716,7 @@ void run_group_impl(const WideGroupJob& job) {
           job.gens != nullptr ? job.gens[l] : *job.gen;
       gen.generate(ar.rngs[l], mask, l);
     }
+    lap(mask_seconds);
     if (oc != nullptr) {
       oc->injection.masks_generated += in_group;
       std::uint64_t flipped = 0;
@@ -746,6 +762,11 @@ void run_group_impl(const WideGroupJob& job) {
       e.false_alarms += popcnt(~wrong & flagged, active);
       e.correct += popcnt(~wrong & ~flagged, active);
     }
+    lap(evaluate_seconds);
+  }
+  if (prof != nullptr) {
+    prof->record(job.st_mask, group_start, mask_seconds);
+    prof->record(job.st_evaluate, group_start, evaluate_seconds);
   }
 }
 

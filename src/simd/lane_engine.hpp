@@ -17,6 +17,10 @@
 #include "obs/counters.hpp"
 #include "workload/instruction_stream.hpp"
 
+namespace nbx::obs {
+class Profiler;
+}  // namespace nbx::obs
+
 namespace nbx::simd {
 
 class WideMirror;
@@ -68,6 +72,13 @@ struct WideGroupJob {
   std::size_t total_sites = 0;
   std::size_t inject_sites = 0;
   obs::Counters* anatomy = nullptr;  ///< null = anatomy off
+  /// Stage profiler, or null (then the kernel reads no clock). When set,
+  /// the group's time splits into the `mask` stage (clear and generate
+  /// every lane's mask) and the `evaluate` stage (compute and score all
+  /// lanes), each summed over the stream and recorded once per group.
+  obs::Profiler* profiler = nullptr;
+  std::size_t st_mask = 0;      ///< profiler->stage_index("mask")
+  std::size_t st_evaluate = 0;  ///< profiler->stage_index("evaluate")
   WideArena* arena = nullptr;  ///< mask/rngs sized by the caller;
                                ///< incorrect[] is the kernel's output
 };

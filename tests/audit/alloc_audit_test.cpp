@@ -26,6 +26,7 @@
 
 #include "alu/alu_factory.hpp"
 #include "cell/processor_cell.hpp"
+#include "fault/mask_generator.hpp"
 #include "obs/metrics.hpp"
 #include "serve/service.hpp"
 #include "serve/wire.hpp"
@@ -177,6 +178,30 @@ TEST(AllocAudit, WideEngineSteadyStateAllocatesNothingAt64Lanes) {
 
 TEST(AllocAudit, WideEngineSteadyStateAllocatesNothingAt512Lanes) {
   expect_zero_per_trial_allocations(512);
+}
+
+TEST(AllocAudit, ScalarMaskGenerationReusingItsMaskAllocatesNothing) {
+  // The scalar oracle regenerates one reused BitVec per computation.
+  // Once the first call has sized it, generate() clears and refills it
+  // in place: Floyd's draw block lives on the stack, so neither a light
+  // fill nor a 75% fill (15 draw blocks at 5040 sites) may allocate.
+  for (const double percent : {2.0, 75.0}) {
+    const MaskGenerator gen(5040, percent);
+    Rng rng(20260808);
+    BitVec mask;
+    gen.generate(rng, mask);  // sizes the mask
+    const std::uint64_t before =
+        g_allocations.load(std::memory_order_relaxed);
+    for (int i = 0; i < 100; ++i) {
+      gen.generate(rng, mask);
+    }
+    const std::uint64_t after =
+        g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << percent << "%: 100 reused-mask generations allocated "
+        << (after - before) << " times";
+    EXPECT_EQ(mask.popcount(), gen.faults_per_computation());
+  }
 }
 
 TEST(AllocAudit, MetricsHotPathAllocatesNothing) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 namespace nbx {
 namespace {
@@ -44,6 +46,47 @@ TEST(Rng, BelowCoversAllResidues) {
     seen.insert(rng.below(7));
   }
   EXPECT_EQ(seen.size(), 7u);
+}
+
+TEST(Rng, FillBelowMatchesRepeatedBelow) {
+  // fill_below is a block of below(first_bound + i) calls with the state
+  // in registers: same values, same order, same final state. Bounds at
+  // and above 2^63 make Lemire reject about half its draws, so the
+  // rejection loop (a redraw consumes an extra next()) is compared too.
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const std::pair<std::uint64_t, std::size_t> cases[] = {
+      {1, 0},           {1, 1},          {1, 300},
+      {1261, 3780},     {kHalf, 64},     {kHalf + 12345, 257},
+      {3 * (kHalf >> 1), 50},            {kMax - 99, 100}};
+  bool rejected = false;
+  for (const auto& [first_bound, n] : cases) {
+    for (const std::uint64_t seed : {1ull, 2026ull, 0xdeadbeefull}) {
+      Rng blocked(seed);
+      Rng repeated(seed);
+      Rng one_draw_each(seed);
+      std::vector<std::uint64_t> out(n + 1, 0xabababababababab);
+      blocked.fill_below(first_bound, out.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t bound = first_bound + i;
+        ASSERT_EQ(out[i], repeated.below(bound))
+            << "bound " << bound << " seed " << seed;
+        const auto unrejected = static_cast<std::uint64_t>(
+            (static_cast<__uint128_t>(one_draw_each.next()) * bound) >> 64);
+        rejected = rejected || unrejected != out[i];
+      }
+      EXPECT_EQ(out[n], 0xabababababababab) << "wrote past n";
+      // The first outputs depend on only part of the 256-bit state, so
+      // compare enough of them to cover every state word.
+      for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(blocked.next(), repeated.next())
+            << "state diverged after first_bound " << first_bound;
+      }
+    }
+  }
+  // Some draw must have taken the rejection loop; otherwise the
+  // comparison above never exercised it.
+  EXPECT_TRUE(rejected);
 }
 
 TEST(Rng, Uniform01Bounds) {

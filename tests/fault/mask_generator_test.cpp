@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/batch_bitvec.hpp"
+
 namespace nbx {
 namespace {
 
@@ -100,6 +105,79 @@ TEST(MaskGenerator, UniformSitesCoverage) {
   for (const int h : hits) {
     EXPECT_GT(h, 40);  // expectation 100, generous slack
     EXPECT_LT(h, 180);
+  }
+}
+
+// The historical Floyd loop, branch and all, one below() per step: the
+// reference the blocked draw-then-apply routine must match bit for bit.
+BitVec reference_floyd(Rng& rng, std::size_t sites, std::size_t k) {
+  BitVec mask(sites);
+  for (std::size_t j = sites - k; j < sites; ++j) {
+    const auto t = static_cast<std::size_t>(rng.below(j + 1));
+    if (mask.get(t)) {
+      mask.set(j, true);
+    } else {
+      mask.set(t, true);
+    }
+  }
+  return mask;
+}
+
+TEST(MaskGenerator, BlockedFloydMatchesReferenceFloyd) {
+  constexpr std::size_t kBlock = MaskGenerator::kFloydBlock;
+  constexpr std::uint64_t kSeed = 20260808;
+  for (const std::size_t sites : {1u, 2u, 64u, 5040u}) {
+    std::vector<std::size_t> ks = {0,      1,         kBlock - 1, kBlock,
+                                   kBlock + 1, sites - 1, sites};
+    std::erase_if(ks, [sites](std::size_t k) { return k > sites; });
+    std::sort(ks.begin(), ks.end());
+    ks.erase(std::unique(ks.begin(), ks.end()), ks.end());
+    for (const std::size_t k : ks) {
+      // The percent whose rounded fault count is exactly k.
+      const MaskGenerator gen(sites, 100.0 * static_cast<double>(k) /
+                                         static_cast<double>(sites));
+      ASSERT_EQ(gen.faults_per_computation(), k) << sites << " sites";
+      SCOPED_TRACE(::testing::Message() << sites << " sites, k " << k);
+      Rng ref_rng(kSeed);
+      const BitVec ref = reference_floyd(ref_rng, sites, k);
+      const std::uint64_t ref_next = ref_rng.next();
+
+      Rng scalar_rng(kSeed);
+      BitVec scalar(sites);
+      scalar.set(0, true);  // generate() must clear a reused mask
+      gen.generate(scalar_rng, scalar);
+      EXPECT_EQ(scalar, ref);
+      EXPECT_EQ(scalar_rng.next(), ref_next);
+
+      Rng batch_rng(kSeed);
+      BatchBitVec batch(sites, 2);
+      constexpr unsigned kLane = 77;
+      gen.generate(batch_rng, batch, kLane);
+      EXPECT_EQ(batch_rng.next(), ref_next);
+      for (std::size_t s = 0; s < sites; ++s) {
+        ASSERT_EQ(batch.get(s, kLane), ref.get(s)) << "site " << s;
+        ASSERT_EQ(batch.row(s)[0], 0u) << "other lane set";
+      }
+
+      for (const std::size_t stride : {1u, 8u}) {
+        constexpr std::uint64_t kBit = std::uint64_t{1} << 37;
+        std::vector<std::uint64_t> words(sites * stride + stride, 0);
+        std::uint64_t* lane_word = words.data() + (stride - 1);
+        Rng raw_rng(kSeed);
+        gen.generate(raw_rng, lane_word, stride, kBit);
+        EXPECT_EQ(raw_rng.next(), ref_next);
+        std::size_t set_words = 0;
+        for (std::size_t s = 0; s < sites; ++s) {
+          ASSERT_EQ(lane_word[s * stride], ref.get(s) ? kBit : 0u)
+              << "stride " << stride << " site " << s;
+        }
+        for (const std::uint64_t w : words) {
+          set_words += w != 0 ? 1 : 0;
+        }
+        EXPECT_EQ(set_words, k) << "stride " << stride
+                                << ": wrote outside the lane column";
+      }
+    }
   }
 }
 

@@ -25,6 +25,7 @@
 #include "alu/alu_factory.hpp"
 #include "grid/grid_trials.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "sim/experiment.hpp"
 #include "workload/image_ops.hpp"
 
@@ -280,6 +281,29 @@ TEST_F(TrialEngineSmoke, AnatomyBackendHitsThePinnedGoldenAndCounts) {
                 p.counters.end_to_end.caught_errors +
                 p.counters.end_to_end.false_alarms,
             640u);
+}
+
+TEST_F(TrialEngineSmoke, LaneKernelSplitsEachGroupIntoMaskAndEvaluate) {
+  // An attached profiler sees the lane kernel's two phases, recorded
+  // once per lane group (5 trials of each workload = one group each),
+  // summing to no more than the group's own time; results are unmoved.
+  const auto alu = make_alu("aluss");
+  obs::Profiler prof;
+  const TrialEngine engine{ParallelConfig{1, 0, 64, &prof}};
+  expect_golden(engine.point(*alu, paper_streams(2026), golden_spec()));
+  std::map<std::string, obs::DurationHistogram> by_name;
+  for (const obs::StageProfile& s : prof.stages()) {
+    by_name[s.name] = s.hist;
+  }
+  ASSERT_EQ(by_name.count("mask"), 1u);
+  ASSERT_EQ(by_name.count("evaluate"), 1u);
+  EXPECT_EQ(by_name["lane_group"].count, 2u);
+  EXPECT_EQ(by_name["mask"].count, 2u);
+  EXPECT_EQ(by_name["evaluate"].count, 2u);
+  EXPECT_GT(by_name["mask"].total_seconds, 0.0);
+  EXPECT_GT(by_name["evaluate"].total_seconds, 0.0);
+  EXPECT_LE(by_name["mask"].total_seconds + by_name["evaluate"].total_seconds,
+            by_name["lane_group"].total_seconds + 1e-6);
 }
 
 TEST_F(TrialEngineSmoke, GridBackendComputesACleanImage) {
