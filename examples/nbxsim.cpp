@@ -1,23 +1,28 @@
 // nbxsim — command-line front-end to the NanoBox fault-injection
-// simulator. Runs single-ALU sweeps, defect studies, or full figure
-// reproductions without writing any code.
+// simulator. Runs single-ALU points and sweeps (optionally on parts
+// with manufacturing defects) or full figure reproductions without
+// writing any code.
 //
 // Usage:
 //   nbxsim --list
 //   nbxsim --alu aluss --percent 3 [--trials 5] [--seed 42]
 //   nbxsim --alu aluss --sweep [--policy round|floor|bernoulli|burst]
 //          [--burst 4] [--trials 5]
-//   nbxsim --alu aluts --defects 0.01 [--percent 0] [--chips 10]
+//   nbxsim --alu aluts --defects 0.01 [--percent 0] [--trials 10]
 //   nbxsim --figure 7|8|9 [--trials 5]
+//
+// --defects D (stuck-at density, 0..1) gives every trial its own
+// manufactured part; it composes with --percent and --sweep, and a
+// point run with --defects defaults to 0% transient faults.
 #include <iostream>
 
 #include "alu/alu_factory.hpp"
 #include "common/cli.hpp"
 #include "fault/fit.hpp"
 #include "fault/sweep.hpp"
-#include "sim/experiment.hpp"
 #include "sim/figure.hpp"
 #include "sim/table_render.hpp"
+#include "sim/trial_engine.hpp"
 
 namespace {
 
@@ -29,9 +34,9 @@ int usage(const std::string& program) {
       << "  " << program << " --list\n"
       << "  " << program << " --alu NAME --percent P [--trials N] [--seed S]\n"
       << "  " << program << " --alu NAME --sweep [--policy round|floor|"
-         "bernoulli|burst] [--burst L]\n"
+         "bernoulli|burst] [--burst L] [--defects D]\n"
       << "  " << program << " --alu NAME --defects D [--percent P] "
-         "[--chips N]\n"
+         "[--trials N]\n"
       << "  " << program << " --figure 7|8|9 [--trials N]\n";
   return 2;
 }
@@ -73,7 +78,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string bad_flags = args.unknown_flag_message(
       {"list", "alu", "percent", "trials", "seed", "sweep", "policy",
-       "burst", "defects", "chips", "figure"});
+       "burst", "defects", "figure"});
   if (!bad_flags.empty()) {
     std::cerr << bad_flags << "\n";
     return usage(args.program());
@@ -101,20 +106,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   const auto streams = paper_streams(seed);
-
-  if (args.has("defects")) {
-    DefectConfig cfg;
-    cfg.defect_density = args.get_double("defects", 0.0);
-    cfg.transient_percent = args.get_double("percent", 0.0);
-    const auto chips = static_cast<int>(args.get_int("chips", 10));
-    const DataPoint p = run_defect_point(*alu, streams, cfg, chips, seed);
-    std::cout << name << " @ defect density "
-              << fmt_double(cfg.defect_density * 100, 2) << "% + "
-              << fmt_double(cfg.transient_percent, 2)
-              << "% transients: " << fmt_double(p.mean_percent_correct, 2)
-              << "% correct (stddev " << fmt_double(p.stddev, 2) << ", "
-              << p.samples << " chips)\n";
-    return 0;
+  const double density = args.get_double("defects", 0.0);
+  if (!(density >= 0.0 && density <= 1.0)) {
+    std::cerr << "--defects must be a density in [0, 1]\n";
+    return usage(args.program());
   }
 
   const FaultCountPolicy policy = parse_policy(args.get("policy", "round"));
@@ -125,6 +120,13 @@ int main(int argc, char** argv) {
   spec.seed = seed;
   spec.policy = policy;
   spec.burst_length = burst;
+  spec.scenario.defect_density = density;
+  // Names the defect density in the output headers when parts are
+  // manufactured; empty for the paper's defect-free model.
+  const std::string on_parts =
+      density > 0.0
+          ? " on parts with " + fmt_double(density * 100.0, 2) + "% defects"
+          : "";
 
   if (args.has("sweep")) {
     TextTable t({"fault%", "FIT", "% correct", "stddev"});
@@ -137,17 +139,19 @@ int main(int argc, char** argv) {
                  fmt_double(p.mean_percent_correct, 2),
                  fmt_double(p.stddev, 2)});
     }
-    std::cout << name << " (" << alu->fault_sites() << " sites)\n";
+    std::cout << name << " (" << alu->fault_sites() << " sites)" << on_parts
+              << "\n";
     t.print(std::cout);
     return 0;
   }
 
-  const double pct = args.get_double("percent", 1.0);
+  const double pct =
+      args.get_double("percent", args.has("defects") ? 0.0 : 1.0);
   spec.percents = {pct};
   const DataPoint p = engine.point(*alu, streams, spec);
   std::cout << name << " @ " << fmt_double(pct, 2) << "% faults (FIT "
             << fmt_sci(fit_from_percent(alu->fault_sites(), pct), 2)
-            << "): " << fmt_double(p.mean_percent_correct, 2)
+            << ")" << on_parts << ": " << fmt_double(p.mean_percent_correct, 2)
             << "% correct (stddev " << fmt_double(p.stddev, 2) << ", "
             << p.samples << " samples)\n";
   return 0;

@@ -405,6 +405,7 @@ struct ScenarioCase {
   double shape = 1.0;
   unsigned lanes = 2;    // 1..512 wide-engine lanes
   unsigned threads = 2;  // pool width for the threaded variants
+  double defect_density = 0.0;  // manufactured parts (0 = none)
 };
 
 std::optional<RateScheduleKind> parse_schedule(const std::string& s) {
@@ -447,6 +448,8 @@ ScenarioCase generate_scenario_case(Gen& g) {
   c.shape = c.schedule == "weibull" ? g.pick({0.5, 2.0, 3.0}) : 1.0;
   c.lanes = static_cast<unsigned>(g.in_range(1, 512));
   c.threads = static_cast<unsigned>(g.pick({2u, 4u, 8u}));
+  // Last draw, so every earlier field of a case seed is unchanged.
+  c.defect_density = g.pick({0.0, 0.005, 0.02});
   return c;
 }
 
@@ -466,7 +469,7 @@ std::string scenario_case_json(const ScenarioCase& c) {
      << "\", \"end_factor\": " << json_double(c.end_factor)
      << ", \"shape\": " << json_double(c.shape)
      << ", \"lanes\": " << c.lanes << ", \"threads\": " << c.threads
-     << "}";
+     << ", \"defect_density\": " << json_double(c.defect_density) << "}";
   return os.str();
 }
 
@@ -522,6 +525,13 @@ std::optional<ScenarioCase> scenario_case_from_json(const JsonValue& doc) {
   c.shape = shape->as_double().value_or(1.0);
   c.lanes = static_cast<unsigned>(lanes->as_u64().value_or(1));
   c.threads = static_cast<unsigned>(threads->as_u64().value_or(2));
+  // Optional: repros written before the field existed are defect-free.
+  if (const JsonValue* d = doc.find("defect_density")) {
+    if (!d->is_number()) {
+      return std::nullopt;
+    }
+    c.defect_density = d->as_double().value_or(0.0);
+  }
   return c;
 }
 
@@ -678,6 +688,9 @@ std::optional<std::string> run_scenario_case(const ScenarioCase& c) {
   if (!(c.end_factor >= 0.0) || !(c.shape > 0.0)) {
     return "invalid case: end_factor must be >= 0 and shape > 0";
   }
+  if (!(c.defect_density >= 0.0 && c.defect_density <= 1.0)) {
+    return "invalid case: defect_density outside [0, 1]";
+  }
 
   SweepSpec spec;
   spec.percents = c.percents;
@@ -690,6 +703,7 @@ std::optional<std::string> run_scenario_case(const ScenarioCase& c) {
   spec.scenario.schedule.shape = c.shape;
   spec.scenario.burst_rows = c.burst_rows;
   spec.scenario.burst_row_stride = c.burst_row_stride;
+  spec.scenario.defect_density = c.defect_density;
 
   if (std::optional<std::string> msg =
           scenario_laws(c, *alu, spec.scenario.schedule)) {
@@ -734,11 +748,13 @@ std::optional<std::string> run_scenario_case(const ScenarioCase& c) {
   const SweepAnatomy base = engine(1, 0).sweep_anatomy(*alu, streams, spec);
 
   // An i.i.d.-degenerate schedule with 1-D bursts IS today's fault
-  // model: it must reproduce the default-scenario sweep bit-for-bit —
-  // same trial seeds, same points, same non-scenario counters.
+  // model: it must reproduce the default-scenario sweep (on the same
+  // parts) bit-for-bit — same trial seeds, same points, same
+  // non-scenario counters.
   if (spec.scenario.is_iid() && c.burst_row_stride == 0) {
     SweepSpec plain = spec;
     plain.scenario = FaultScenario{};
+    plain.scenario.defect_density = c.defect_density;
     const SweepAnatomy iid =
         engine(1, 0).sweep_anatomy(*alu, streams, plain);
     if (std::optional<std::string> msg = compare_points(
@@ -817,6 +833,11 @@ std::vector<ScenarioCase> shrink_scenario_case(const ScenarioCase& c) {
   if (c.threads > 2) {
     ScenarioCase s = c;
     s.threads = 2;
+    out.push_back(std::move(s));
+  }
+  if (c.defect_density > 0.0) {
+    ScenarioCase s = c;
+    s.defect_density = 0.0;
     out.push_back(std::move(s));
   }
   return out;
@@ -1820,10 +1841,10 @@ std::size_t default_smoke_cases(std::string_view property_name) {
     return 24;
   }
   if (property_name == kScenarioName) {
-    return 12;
+    return 16;
   }
   if (property_name == kPipelineName) {
-    return 16;
+    return 24;
   }
   if (property_name == kAluName) {
     return 80;
@@ -1832,7 +1853,7 @@ std::size_t default_smoke_cases(std::string_view property_name) {
     return 120;
   }
   if (property_name == "serve-differential") {
-    return 12;
+    return 16;
   }
   return 50;
 }

@@ -14,8 +14,9 @@
 //       trials, so multi-group cells and cross-word scoring run too.
 //
 //   scenario-differential — a generated FaultScenario (wear-out rate
-//       schedule: constant/linear/weibull toward base*end_factor, plus
-//       2-D burst geometry) must be bit-identical through scalar serial,
+//       schedule: constant/linear/weibull toward base*end_factor, 2-D
+//       burst geometry, and a manufacturing defect density from
+//       {0, 0.5%, 2%}) must be bit-identical through scalar serial,
 //       scalar threaded, the serial wide engine at a generated lane
 //       count, and the threaded wide engine — scenario counters
 //       included; an i.i.d.-degenerate schedule must reproduce the
@@ -43,9 +44,10 @@
 //       netlist, and the behavioural golden_alu must all agree, and the
 //       module layer must report no disagreement/invalid flags.
 //
-//   serve-differential — a generated SweepSpec rendered to the nbxd wire
-//       format and submitted to a live in-process SweepService (generated
-//       worker count and shard granularity) must return bytes identical
+//   serve-differential — a generated SweepSpec (defect density
+//       included) rendered to the nbxd wire format and submitted to a
+//       live in-process SweepService (generated worker count) on its
+//       default lane engine must return bytes identical
 //       to the canonical rendering of a direct scalar TrialEngine run
 //       (points AND anatomy counters); resubmitting must hit the
 //       content-addressed cache — identical bytes, exactly one computed
@@ -85,9 +87,10 @@ std::vector<Property> oracle_properties();
 /// Looks up one family by its name (replay dispatch).
 std::optional<Property> oracle_property_by_name(std::string_view name);
 
-/// Per-family case count for the bounded check_smoke run. The totals
-/// across oracle_properties() exceed 200 cases while staying well under
-/// the 5-second smoke budget.
+/// Per-family case count of a default nbxcheck run — what each tier-1
+/// `check_<family>` ctest entry runs (one entry per family, so `ctest -j`
+/// runs the families in parallel). The totals across
+/// oracle_properties() exceed 200 cases.
 std::size_t default_smoke_cases(std::string_view property_name);
 
 }  // namespace nbx::check

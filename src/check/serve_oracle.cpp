@@ -4,9 +4,9 @@
 // engine": a sweep served from the worker pool — computed by one
 // TrialEngine run on a `workers`-wide pool, coalesced, cached — must be
 // *byte-identical* to a direct serial TrialEngine run of the same spec.
-// This family generates SweepSpecs, drives them through a live
-// in-process SweepService, and compares the rendered response against a
-// locally-rendered direct-engine record:
+// This family generates SweepSpecs (defect densities included), drives
+// them through a live in-process SweepService, and compares the rendered
+// response against a locally-rendered direct-engine record:
 //
 //   * first submission: response bytes == render_ok_response(direct run)
 //     — points AND anatomy counters, through generated worker counts
@@ -60,6 +60,7 @@ struct ServeCase {
   unsigned workers = 2;      // service worker threads (1..3)
   std::string corrupt = "none";  // none | truncate | bitflip | garbage
   std::uint64_t corrupt_seed = 0;
+  double defect_density = 0.0;  // manufactured parts (0 = none)
 };
 
 ServeCase generate_serve_case(Gen& g) {
@@ -93,6 +94,8 @@ ServeCase generate_serve_case(Gen& g) {
   c.corrupt = g.pick({std::string("none"), std::string("truncate"),
                       std::string("bitflip"), std::string("garbage")});
   c.corrupt_seed = g.u64();
+  // Last draw, so every earlier field of a case seed is unchanged.
+  c.defect_density = g.pick({0.0, 0.005, 0.02});
   return c;
 }
 
@@ -111,7 +114,8 @@ std::string serve_case_json(const ServeCase& c) {
      << "\", \"end_factor\": " << json_double(c.end_factor)
      << ", \"shape\": " << json_double(c.shape)
      << ", \"workers\": " << c.workers << ", \"corrupt\": \""
-     << c.corrupt << "\", \"corrupt_seed\": " << c.corrupt_seed << "}";
+     << c.corrupt << "\", \"corrupt_seed\": " << c.corrupt_seed
+     << ", \"defect_density\": " << json_double(c.defect_density) << "}";
   return os.str();
 }
 
@@ -176,6 +180,13 @@ std::optional<ServeCase> serve_case_from_json(const JsonValue& doc) {
   c.workers = static_cast<unsigned>(workers->as_u64().value_or(1));
   c.corrupt = corrupt->as_string();
   c.corrupt_seed = corrupt_seed->as_u64().value_or(0);
+  // Optional: repros written before the field existed are defect-free.
+  if (const JsonValue* d = doc.find("defect_density")) {
+    if (!d->is_number()) {
+      return std::nullopt;
+    }
+    c.defect_density = d->as_double().value_or(0.0);
+  }
   return c;
 }
 
@@ -207,6 +218,7 @@ std::optional<serve::SweepRequest> case_request(const ServeCase& c,
   req.spec.scenario.schedule.kind = *schedule;
   req.spec.scenario.schedule.end_factor = c.end_factor;
   req.spec.scenario.schedule.shape = c.shape;
+  req.spec.scenario.defect_density = c.defect_density;
   req.spec.burst_length = c.burst_length;
   req.spec.datapath_sites = c.datapath_sites;
   if (c.scope == "datapath" &&
@@ -216,6 +228,10 @@ std::optional<serve::SweepRequest> case_request(const ServeCase& c,
   }
   if (c.percents.empty() || c.trials < 1 || c.workers < 1) {
     *why = "invalid case: empty percents or non-positive knob";
+    return std::nullopt;
+  }
+  if (!(c.defect_density >= 0.0 && c.defect_density <= 1.0)) {
+    *why = "invalid case: defect_density outside [0, 1]";
     return std::nullopt;
   }
   return req;
@@ -362,6 +378,11 @@ std::vector<ServeCase> shrink_serve_case(const ServeCase& c) {
   if (c.trials > 1) {
     ServeCase s = c;
     s.trials = 1;
+    out.push_back(std::move(s));
+  }
+  if (c.defect_density > 0.0) {
+    ServeCase s = c;
+    s.defect_density = 0.0;
     out.push_back(std::move(s));
   }
   if (c.schedule != "constant") {

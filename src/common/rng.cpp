@@ -57,7 +57,7 @@ inline std::uint64_t lemire_below(Next& next, std::uint64_t bound) {
 
 }  // namespace
 
-Rng::Rng(std::uint64_t seed) : seed_(seed) {
+Rng::Rng(std::uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& s : s_) {
     s = sm.next();
@@ -100,13 +100,6 @@ bool Rng::bernoulli(double p) {
     return true;
   }
   return uniform01() < p;
-}
-
-Rng Rng::split(std::uint64_t stream) const {
-  // Derive a child seed that depends on both the parent seed and the
-  // stream index; SplitMix64's avalanche decorrelates adjacent streams.
-  SplitMix64 sm(seed_ ^ (stream * 0xd1342543de82ef95ULL + 0x2545f4914f6cdd1dULL));
-  return Rng(sm.next());
 }
 
 std::uint64_t mix64(std::uint64_t x) {

@@ -62,11 +62,6 @@ class Rng {
   /// True with probability p (clamped to [0,1]).
   bool bernoulli(double p);
 
-  /// Splits off an independently seeded child generator. Children of the
-  /// same parent with distinct `stream` values are decorrelated; used to
-  /// give each trial / each cell its own stream.
-  [[nodiscard]] Rng split(std::uint64_t stream) const;
-
   /// Samples `k` distinct values from [0, n) in O(k) expected time
   /// (Floyd's algorithm). Order of the result is unspecified.
   /// Requires k <= n.
@@ -75,7 +70,6 @@ class Rng {
 
  private:
   std::uint64_t s_[4];
-  std::uint64_t seed_;  // retained so split() can derive child seeds
 };
 
 /// SplitMix64's finalizer as a pure function: a strong 64-bit mixer.

@@ -7,12 +7,13 @@
 // schedule* (wear-out drift across a trial population — linear or
 // Weibull-shaped, Lawson & Wolpert-style aging) and a 2-D *burst
 // neighbourhood* (one particle strike disturbing an L×R patch of LUT
-// rows) on top of the existing per-computation XOR masks. The schedule
-// feeds the effective rate into MaskGenerator::trial_seed by bit
-// pattern, so every engine backend — scalar, threaded, batched, every
-// SIMD tier — regenerates the exact same mask stream for a trial
-// regardless of execution order, and a constant schedule reproduces
-// today's i.i.d. results bit for bit.
+// rows) on top of the existing per-computation XOR masks, and fixes
+// each trial's *manufacturing defects* (stuck-at cells that every mask
+// of the trial inherits). The schedule feeds the effective rate into
+// MaskGenerator::trial_seed by bit pattern, so every engine backend —
+// scalar, threaded, lane groups of any width — regenerates the exact
+// same mask stream for a trial regardless of execution order, and a
+// constant schedule reproduces today's i.i.d. results bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -52,14 +53,20 @@ struct RateSchedule {
   [[nodiscard]] bool operator==(const RateSchedule&) const = default;
 };
 
-/// A complete scenario: rate drift plus burst geometry. The default
-/// scenario is the paper's model and is guaranteed to change nothing —
-/// SweepSpec carries one by value and every historical spec keeps its
-/// exact results.
+/// A complete scenario: rate drift, burst geometry and manufacturing
+/// defects. The default scenario is the paper's model and is guaranteed
+/// to change nothing — SweepSpec carries one by value and every
+/// historical spec keeps its exact results.
 struct FaultScenario {
   RateSchedule schedule;
   std::size_t burst_rows = 1;        ///< strike height (kBurst only)
   std::size_t burst_row_stride = 0;  ///< sites per row; 0 = 1-D legacy
+  /// Manufacturing stuck-at density (0..1) over the ALU's defectable
+  /// storage (fault/defect_map.hpp). Each trial runs on its own part,
+  /// manufactured from derive_seed({trial seed, fnv1a64("manufacture")})
+  /// and imposed on every per-instruction mask; the transient stream is
+  /// untouched. 0 = defect-free: nothing is manufactured or imposed.
+  double defect_density = 0.0;
 
   /// True when every trial runs at the base rate (schedule is the
   /// identity), i.e. masks are i.i.d. across the trial population. The

@@ -207,7 +207,9 @@ bool parse_sweep_fields(const JsonValue& doc, SweepRequest* req,
   if (!read_f64(doc, "end_factor", 0.0, 1000.0,
                 &req->spec.scenario.schedule.end_factor, error) ||
       !read_f64(doc, "shape", 1e-3, 100.0,
-                &req->spec.scenario.schedule.shape, error)) {
+                &req->spec.scenario.schedule.shape, error) ||
+      !read_f64(doc, "defect_density", 0.0, 1.0,
+                &req->spec.scenario.defect_density, error)) {
     return false;
   }
   if (req->spec.scope == InjectionScope::kDatapathOnly &&
@@ -362,6 +364,8 @@ std::string render_sweep_request(const SweepRequest& req) {
   out += std::to_string(s.scenario.burst_rows);
   out += ",\"burst_row_stride\":";
   out += std::to_string(s.scenario.burst_row_stride);
+  out += ",\"defect_density\":";
+  out += json_double(s.scenario.defect_density);
   out += "}";
   return out;
 }
@@ -432,6 +436,7 @@ std::uint64_t request_fingerprint(const SweepRequest& req) {
   h.f64(s.scenario.schedule.shape);
   h.u64(s.scenario.burst_rows);
   h.u64(s.scenario.burst_row_stride);
+  h.f64(s.scenario.defect_density);
   h.u64(chain);
   h.u64(kGoldenRegistryFingerprint);
   return h.value();

@@ -17,8 +17,8 @@
 
 #include "obs/counters.hpp"
 #include "obs/json.hpp"
-#include "sim/experiment.hpp"
 #include "sim/manifest.hpp"
+#include "sim/trial_engine.hpp"
 
 namespace nbx {
 

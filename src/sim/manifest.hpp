@@ -32,7 +32,7 @@ namespace nbx {
 /// deliberate act reviewed together with the golden change
 /// (tests/goldens/goldens_schema_test.cpp enforces the match).
 inline constexpr std::uint64_t kGoldenRegistryFingerprint =
-    13829800972187870810ULL;
+    13015546860238088626ULL;
 
 /// Provenance of one bench run. All fields are plain strings/numbers so
 /// the manifest survives JSON round trips byte-for-byte.

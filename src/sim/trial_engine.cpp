@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-
+#include <optional>
 #include <string>
 
 #include "common/batch_bitvec.hpp"
@@ -17,7 +17,7 @@ namespace nbx {
 TrialResult run_trial(const IAlu& alu,
                       const std::vector<Instruction>& stream,
                       const TrialConfig& cfg, Rng& rng,
-                      obs::Counters* anatomy) {
+                      obs::Counters* anatomy, const DefectMap* defects) {
   const std::size_t total_sites = alu.fault_sites();
   const std::size_t inject_sites = cfg.scope == InjectionScope::kDatapathOnly
                                        ? cfg.datapath_sites
@@ -75,6 +75,9 @@ TrialResult run_trial(const IAlu& alu,
               ? gen.faults_per_computation()
               : mask.popcount();
     }
+    if (defects != nullptr) {
+      alu.impose_defects(*defects, mask);
+    }
     const AluOutput out = alu.compute(ins.op, ins.a, ins.b,
                                       MaskView(mask, 0, total_sites),
                                       &res.stats);
@@ -123,6 +126,18 @@ void account_scenario(obs::Counters& c, const SweepSpec& spec,
       static_cast<std::uint64_t>(instructions);
 }
 
+// The part one trial runs on: a DefectMap over the ALU's defectable
+// storage, drawn from its own stream keyed by the trial's seed (the
+// "manufacture" tag the pipelined cell uses too), so the transient
+// stream seeded by `trial_seed` is untouched and every backend
+// manufactures the same part for the same trial.
+DefectMap manufacture_part(const IAlu& alu, double density,
+                           std::uint64_t trial_seed) {
+  static const std::uint64_t tag = fnv1a64("manufacture");
+  Rng rng(derive_seed({trial_seed, tag}));
+  return DefectMap::manufacture(alu.defectable_sites(), density, rng);
+}
+
 // The scalar sweep backend: one item = one (percent, workload, trial)
 // cell of the grid, indexed [percent][workload][trial] flattened. Every
 // cell's RNG seed is a pure function of its coordinates
@@ -160,9 +175,17 @@ struct ScalarSweepBackend {
     cfg.datapath_sites = spec.datapath_sites;
     cfg.burst_rows = spec.scenario.burst_rows;
     cfg.burst_row_stride = spec.scenario.burst_row_stride;
-    Rng rng(MaskGenerator::trial_seed(spec.seed, alu_hash, effective, w, t));
+    const std::uint64_t seed =
+        MaskGenerator::trial_seed(spec.seed, alu_hash, effective, w, t);
+    Rng rng(seed);
+    std::optional<DefectMap> part;
+    if (spec.scenario.defect_density > 0.0) {
+      part = manufacture_part(alu, spec.scenario.defect_density, seed);
+    }
     obs::Counters* sink = per_item != nullptr ? &(*per_item)[i] : nullptr;
-    samples[i] = run_trial(alu, streams[w], cfg, rng, sink).percent_correct;
+    samples[i] = run_trial(alu, streams[w], cfg, rng, sink,
+                           part ? &*part : nullptr)
+                     .percent_correct;
     if (sink != nullptr) {
       const std::size_t inject_sites =
           spec.scope == InjectionScope::kDatapathOnly ? spec.datapath_sites
@@ -192,8 +215,11 @@ simd::WideArena& wide_arena() {
 // trial seed and the shared mask-generation core consumes it
 // draw-for-draw like the scalar path, so each lane regenerates its
 // trial's mask stream verbatim; the SIMD lane engine (src/simd/) then
-// computes all lanes at once. Same sample vector, same flat
-// [percent][workload][trial] order, bit-identical values at every width.
+// computes all lanes at once. A lane's manufactured part is a per-lane
+// constant for the whole trial, so it is resolved once per group into
+// two site-row masks (stuck, forced) that the kernel folds into every
+// mask. Same sample vector, same flat [percent][workload][trial] order,
+// bit-identical values at every width.
 struct WideSweepBackend {
   const IAlu& alu;
   const simd::WideMirror& mirror;
@@ -215,6 +241,31 @@ struct WideSweepBackend {
 
   [[nodiscard]] std::size_t item_count() const { return total_groups; }
   [[nodiscard]] std::string_view stage() const { return "lane_group"; }
+
+  // Writes one lane's part into the arena's stuck/forced rows by asking
+  // the ALU itself where its defects land (impose_defects replicates a
+  // time-redundant core's defects into all three pass segments): imposed
+  // on an all-zero mask, the part leaves exactly its forced bits set;
+  // imposed on an all-ones mask, it clears exactly the stuck sites whose
+  // forced bit is 0.
+  void load_part(const DefectMap& part, unsigned lane,
+                 simd::WideArena& ar) const {
+    BitVec probe(total_sites);
+    alu.impose_defects(part, probe);
+    for (std::size_t s = 0; s < total_sites; ++s) {
+      if (probe.get(s)) {
+        ar.forced.set(s, lane, true);
+        ar.stuck.set(s, lane, true);
+      }
+      probe.set(s, true);
+    }
+    alu.impose_defects(part, probe);
+    for (std::size_t s = 0; s < total_sites; ++s) {
+      if (!probe.get(s)) {
+        ar.stuck.set(s, lane, true);
+      }
+    }
+  }
 
   void run_item(std::size_t item) const {
     const std::size_t workloads = streams.size();
@@ -250,11 +301,20 @@ struct WideSweepBackend {
     if (!iid && ar.gens.capacity() < in_group) {
       ar.gens.reserve(lanes);
     }
+    const double density = spec.scenario.defect_density;
+    if (density > 0.0) {
+      ar.stuck.reshape(total_sites, lane_words);
+      ar.forced.reshape(total_sites, lane_words);
+    }
     for (unsigned l = 0; l < in_group; ++l) {
       const double effective = spec.scenario.schedule.at(
           spec.percents[pi], first_trial + l, trials);
-      ar.rngs.emplace_back(MaskGenerator::trial_seed(
-          spec.seed, alu_hash, effective, w, first_trial + l));
+      const std::uint64_t seed = MaskGenerator::trial_seed(
+          spec.seed, alu_hash, effective, w, first_trial + l);
+      ar.rngs.emplace_back(seed);
+      if (density > 0.0) {
+        load_part(manufacture_part(alu, density, seed), l, ar);
+      }
       if (!iid) {
         ar.gens.emplace_back(inject_sites, effective, spec.policy,
                              spec.burst_length, spec.scenario.burst_rows,
@@ -281,6 +341,7 @@ struct WideSweepBackend {
     job.total_sites = total_sites;
     job.inject_sites = inject_sites;
     job.anatomy = per_group != nullptr ? &(*per_group)[item] : nullptr;
+    job.defects = density > 0.0;
     job.profiler = profiler;
     job.st_mask = st_mask;
     job.st_evaluate = st_evaluate;

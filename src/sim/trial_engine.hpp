@@ -42,6 +42,7 @@
 #include "common/batch_bitvec.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
+#include "fault/defect_map.hpp"
 #include "fault/mask_generator.hpp"
 #include "fault/scenario.hpp"
 #include "fault/sweep.hpp"
@@ -84,10 +85,15 @@ struct TrialResult {
 /// votes, end-to-end silent/caught classification) into it. Accounting
 /// is passive — it draws nothing from `rng` and never changes the
 /// simulated outcome, so attaching a sink cannot move any golden.
+/// With `defects` non-null (size alu.defectable_sites()), the part is
+/// manufactured: each mask is generated and tallied, then the defects
+/// are imposed on it (IAlu::impose_defects) before the computation, so
+/// `faults_injected` still counts transient draws only.
 TrialResult run_trial(const IAlu& alu,
                       const std::vector<Instruction>& stream,
                       const TrialConfig& cfg, Rng& rng,
-                      obs::Counters* anatomy = nullptr);
+                      obs::Counters* anatomy = nullptr,
+                      const DefectMap* defects = nullptr);
 
 /// How a TrialEngine fans work items out across worker threads.
 /// Per-trial RNG seeds are derived counter-style from (seed, ALU-name
@@ -157,11 +163,13 @@ struct SweepSpec {
   InjectionScope scope = InjectionScope::kAll;
   std::size_t datapath_sites = 0;  ///< used when scope == kDatapathOnly
   std::size_t burst_length = 1;    ///< used by FaultCountPolicy::kBurst
-  /// Correlated/aging overlay (fault/scenario.hpp). The default scenario
-  /// is the paper's i.i.d. model: trial t's rate is schedule.at(percent,
-  /// t, trials) and enters the counter-based trial seed by bit pattern,
-  /// so a constant schedule reproduces historical results exactly and
-  /// every schedule is bit-identical across threads × lanes.
+  /// Correlated/aging/defect overlay (fault/scenario.hpp). The default
+  /// scenario is the paper's i.i.d. model: trial t's rate is
+  /// schedule.at(percent, t, trials) and enters the counter-based trial
+  /// seed by bit pattern, so a constant schedule reproduces historical
+  /// results exactly and every schedule is bit-identical across threads
+  /// × lanes. A nonzero defect_density gives every trial its own
+  /// manufactured part on both backends.
   /// (Brace-initialised so designated initialisers may omit it.)
   FaultScenario scenario{};
 };

@@ -15,9 +15,10 @@
 //   * gate netlists (Netlist::evaluate), one pass for all lanes;
 //   * WideModuleExec driving the shared compute_single/space/time plans
 //     (alu/module_plan.hpp);
-//   * the group kernel: mask generation, compute and scoring of one
-//     lane group over a whole instruction stream, timed as the `mask`
-//     and `evaluate` profiler stages when a profiler is attached.
+//   * the group kernel: mask generation (plus each lane's manufactured
+//     defects), compute and scoring of one lane group over a whole
+//     instruction stream, timed as the `mask` and `evaluate` profiler
+//     stages when a profiler is attached.
 // Every W must be bit-identical to the scalar trial engine, including
 // anatomy counters (tests/sim/batch_differential_test.cpp, nbxcheck
 // engine-differential).
@@ -716,7 +717,6 @@ void run_group_impl(const WideGroupJob& job) {
           job.gens != nullptr ? job.gens[l] : *job.gen;
       gen.generate(ar.rngs[l], mask, l);
     }
-    lap(mask_seconds);
     if (oc != nullptr) {
       oc->injection.masks_generated += in_group;
       std::uint64_t flipped = 0;
@@ -725,6 +725,16 @@ void run_group_impl(const WideGroupJob& job) {
       }
       oc->injection.faults_injected += flipped;
     }
+    if (job.defects) {
+      // Each lane's part, after its transient draws are tallied: stuck
+      // cells read their forced value whatever the transient mask says.
+      for (std::size_t s = 0; s < job.total_sites; ++s) {
+        const V stuck = V::load(ar.stuck.row(s));
+        const V forced = V::load(ar.forced.row(s));
+        ((V::load(mask.row(s)) & ~stuck) | forced).store(mask.row(s));
+      }
+    }
+    lap(mask_seconds);
     stats.computations += popcnt(active, active);
     WideModuleExec<W> ex{ins.op, ins.a,     ins.b,
                          &mask,  active,    &stats,

@@ -38,6 +38,11 @@ struct WideArena {
   std::vector<MaskGenerator> gens;   ///< per-lane generators (wear-out
                                      ///< schedules only; empty when the
                                      ///< group shares WideGroupJob::gen)
+  /// Per-lane manufacturing defects (WideGroupJob::defects only; left
+  /// unsized otherwise): a site row's `stuck` lanes read their `forced`
+  /// bit on every instruction, row = (row & ~stuck) | forced.
+  BatchBitVec stuck;
+  BatchBitVec forced;
 
   /// Approximate resident size of this arena's buffers, for the
   /// engine_arena_bytes gauge. Capacities, not sizes — the arena never
@@ -48,15 +53,19 @@ struct WideArena {
            incorrect.capacity() * sizeof(std::uint32_t) +
            nodes.capacity() * sizeof(std::uint64_t) +
            (lane_mask.size() + 7) / 8 +
-           gens.capacity() * sizeof(MaskGenerator);
+           gens.capacity() * sizeof(MaskGenerator) +
+           (stuck.sites() * stuck.lane_words() +
+            forced.sites() * forced.lane_words()) *
+               sizeof(std::uint64_t);
   }
 };
 
 /// Everything one lane-group trial needs, flattened. The kernel runs the
 /// whole instruction stream for the group: per instruction it clears the
 /// mask, regenerates every lane's mask from its Rng (identical draws to
-/// the scalar engine — the bit-identity contract), evaluates the mirror,
-/// and scores lanes against the golden results.
+/// the scalar engine — the bit-identity contract), imposes each lane's
+/// defects if any, evaluates the mirror, and scores lanes against the
+/// golden results.
 struct WideGroupJob {
   const WideMirror* mirror = nullptr;
   const MaskGenerator* gen = nullptr;  ///< bound to inject_sites
@@ -72,10 +81,15 @@ struct WideGroupJob {
   std::size_t total_sites = 0;
   std::size_t inject_sites = 0;
   obs::Counters* anatomy = nullptr;  ///< null = anatomy off
+  /// True when the arena's stuck/forced rows hold each lane's
+  /// manufactured part (FaultScenario::defect_density > 0); imposed on
+  /// every mask after its transient draws are tallied.
+  bool defects = false;
   /// Stage profiler, or null (then the kernel reads no clock). When set,
-  /// the group's time splits into the `mask` stage (clear and generate
-  /// every lane's mask) and the `evaluate` stage (compute and score all
-  /// lanes), each summed over the stream and recorded once per group.
+  /// the group's time splits into the `mask` stage (clear, generate and
+  /// tally every lane's mask, then impose its defects) and the
+  /// `evaluate` stage (compute and score all lanes), each summed over
+  /// the stream and recorded once per group.
   obs::Profiler* profiler = nullptr;
   std::size_t st_mask = 0;      ///< profiler->stage_index("mask")
   std::size_t st_evaluate = 0;  ///< profiler->stage_index("evaluate")

@@ -119,21 +119,6 @@ TEST(Rng, BernoulliRoughlyCalibrated) {
   EXPECT_NEAR(p, 0.3, 0.02);
 }
 
-TEST(Rng, SplitStreamsAreDecorrelatedAndDeterministic) {
-  Rng parent(42);
-  Rng c1 = parent.split(1);
-  Rng c2 = parent.split(2);
-  Rng c1_again = parent.split(1);
-  EXPECT_EQ(c1.next(), c1_again.next());
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (c1.next() == c2.next()) {
-      ++same;
-    }
-  }
-  EXPECT_LT(same, 2);
-}
-
 TEST(Rng, SampleWithoutReplacementBasics) {
   Rng rng(9);
   const auto sample = rng.sample_without_replacement(100, 10);

@@ -81,6 +81,30 @@ inline constexpr WearOutPoint kAlussWearLinear3x = {
     "aluss", 2.0, 3.0, 2026, 5,
     94.84375, 4.3607157685280153, 3.1192514157296207, 10};
 
+// ---------------------------------------------- manufactured-part point
+
+/// Manufacturing defects through the single-ALU engine: alutn (time
+/// redundancy over uncoded LUTs) on parts of 1% stuck-at density
+/// (FaultScenario::defect_density), no transient faults, master seed
+/// 2026, 5 trials per workload — each trial on its own part. Pinned on
+/// the scalar engine and required to hold bit-identically at 64 and 512
+/// lanes.
+struct DefectPoint {
+  const char* alu;
+  double defect_density;
+  double fault_percent;  ///< transient rate
+  std::uint64_t seed;
+  int trials_per_workload;
+  double mean_percent_correct;
+  double stddev;
+  double ci95;
+  std::size_t samples;
+};
+
+inline constexpr DefectPoint kAlutnDefects1Pct = {
+    "alutn", 0.01, 0.0, 2026, 5,
+    90.9375, 19.331267849436742, 13.827795207931738, 10};
+
 // ------------------------------------------------ wafer-study snapshot
 
 /// One pinned wafer-study distribution (grid/wafer_study.hpp): 8 wafers
@@ -244,6 +268,15 @@ inline std::vector<Entry> all_entries() {
        << dbl(kAlussWearLinear3x.ci95) << "/"
        << kAlussWearLinear3x.samples;
     out.push_back({"point.aluss_wear_linear3x", os.str()});
+  }
+  {
+    const DefectPoint& d = kAlutnDefects1Pct;
+    std::ostringstream os;
+    os << d.alu << "@" << dbl(d.fault_percent) << "pct_defects"
+       << dbl(d.defect_density) << "/seed" << d.seed << ": "
+       << dbl(d.mean_percent_correct) << "/" << dbl(d.stddev) << "/"
+       << dbl(d.ci95) << "/" << d.samples;
+    out.push_back({"point.alutn_defects_1pct", os.str()});
   }
   {
     const WaferStudyGolden& w = kWaferTmr2PctDensity;

@@ -71,6 +71,18 @@ TEST(GoldensSchema, WearOutPointShapeIsConsistent) {
             goldens::kAlussAt2Pct.mean_percent_correct);
 }
 
+TEST(GoldensSchema, DefectPointShapeIsConsistent) {
+  const goldens::DefectPoint& p = goldens::kAlutnDefects1Pct;
+  EXPECT_EQ(p.samples, 2u * static_cast<std::size_t>(p.trials_per_workload));
+  EXPECT_GT(p.defect_density, 0.0);
+  EXPECT_LE(p.defect_density, 1.0);
+  // Defects alone, no transients: a defect-free part would score 100.
+  EXPECT_EQ(p.fault_percent, 0.0);
+  EXPECT_GE(p.mean_percent_correct, 0.0);
+  EXPECT_LT(p.mean_percent_correct, 100.0);
+  EXPECT_GE(p.stddev, 0.0);
+}
+
 TEST(GoldensSchema, WaferStudyGoldenIsInternallyConsistent) {
   const goldens::WaferStudyGolden& w = goldens::kWaferTmr2PctDensity;
   EXPECT_GE(w.oblivious_yield, 0.0);
@@ -145,9 +157,11 @@ TEST(GoldensSchema, RegistryFingerprintIsPinned) {
   // Updated once when the fault-scenario layer pinned two NEW entries
   // (point.aluss_wear_linear3x, wafer.tmr_2pct_density), and once when
   // the cell pipeline pinned three NEW entries (pipeline.raw_forwarding,
-  // pipeline.raw_stalling, pipeline.fetch_5pct_uncoded); every
-  // pre-existing entry was verified byte-identical both times.
-  EXPECT_EQ(fnv1a64(canonical), 13829800972187870810ULL)
+  // pipeline.raw_stalling, pipeline.fetch_5pct_uncoded), and once when
+  // manufacturing defects moved onto TrialEngine and pinned one NEW
+  // entry (point.alutn_defects_1pct); every pre-existing entry was
+  // verified byte-identical each time.
+  EXPECT_EQ(fnv1a64(canonical), 13015546860238088626ULL)
       << "canonical form:\n"
       << canonical;
   // The run-provenance manifest advertises the same fingerprint in

@@ -6,7 +6,7 @@
 #include "alu/alu_factory.hpp"
 #include "gatesim/netlist.hpp"
 #include "grid/control_processor.hpp"
-#include "sim/experiment.hpp"
+#include "sim/trial_engine.hpp"
 #include "workload/image_ops.hpp"
 
 namespace nbx {

@@ -80,6 +80,37 @@ std::string status_of(const std::string& payload) {
                                                   : "";
 }
 
+TEST(ServeWire, DefectDensityRoundTripsIsRangeCheckedAndFingerprinted) {
+  SweepRequest req = small_request(7);
+  req.spec.scenario.defect_density = 0.01;
+  const std::optional<ParsedRequest> parsed =
+      parse_request(render_sweep_request(req));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->sweep.spec.scenario.defect_density, 0.01);
+  EXPECT_EQ(render_sweep_request(parsed->sweep), render_sweep_request(req));
+
+  // Absent and explicit 0 name the same (defect-free) answer; a part
+  // with defects is a different answer and a different cache entry.
+  const SweepRequest clean = small_request(7);
+  const std::optional<ParsedRequest> absent = parse_request(
+      R"({"kind":"sweep","alu":"aluss","percents":[2],"trials":2,"seed":7})");
+  ASSERT_TRUE(absent.has_value());
+  EXPECT_EQ(request_fingerprint(absent->sweep), request_fingerprint(clean));
+  EXPECT_NE(request_fingerprint(req), request_fingerprint(clean));
+
+  for (const char* bad : {"-0.01", "1.5", "\"0.1\""}) {
+    std::string error;
+    EXPECT_FALSE(parse_request(std::string(R"({"kind":"sweep","alu":"aluss",)"
+                                           R"("percents":[2],"trials":2,)"
+                                           R"("seed":7,"defect_density":)") +
+                                   bad + "}",
+                               &error)
+                     .has_value())
+        << bad;
+    EXPECT_NE(error.find("defect_density"), std::string::npos) << bad;
+  }
+}
+
 TEST(ServeSmoke, ConcurrentClientsAreByteIdenticalAndComputeOnce) {
   ServerConfig cfg;
   cfg.socket_path = temp_socket_path("conc");

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "alu/alu_factory.hpp"
-#include "sim/experiment.hpp"
+#include "sim/trial_engine.hpp"
 
 namespace nbx {
 namespace {

@@ -1,4 +1,4 @@
-#include "sim/experiment.hpp"
+#include "sim/trial_engine.hpp"
 
 #include <gtest/gtest.h>
 

@@ -7,8 +7,8 @@
 
 #include "alu/alu_factory.hpp"
 #include "fault/sweep.hpp"
-#include "sim/experiment.hpp"
 #include "sim/figure.hpp"
+#include "sim/trial_engine.hpp"
 
 namespace nbx {
 namespace {

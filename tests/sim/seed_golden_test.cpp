@@ -18,7 +18,7 @@
 #include "fault/mask_generator.hpp"
 #include "goldens.hpp"
 #include "sim/bench_json.hpp"
-#include "sim/experiment.hpp"
+#include "sim/trial_engine.hpp"
 
 namespace nbx {
 namespace {

@@ -26,7 +26,7 @@
 #include "grid/grid_trials.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "sim/experiment.hpp"
+#include "sim/trial_engine.hpp"
 #include "workload/image_ops.hpp"
 
 namespace nbx {
