@@ -6,6 +6,8 @@
 // Output: the figure as a table (rows = fault %, columns = the four ALU
 // series), the per-point standard deviations, a CSV block for plotting,
 // and a paper-vs-measured check of every §5 prose anchor for this figure.
+#include "common/std_string.hpp"  // first: see its header comment
+
 #include <chrono>
 #include <iostream>
 

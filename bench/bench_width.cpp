@@ -7,6 +7,8 @@
 // raised to the (W/8)-th power — wider words need proportionally more
 // reliable devices, or stronger coding, for the same instruction-level
 // reliability.
+#include "common/std_string.hpp"  // first: see its header comment
+
 #include <cmath>
 #include <iostream>
 

@@ -4,6 +4,8 @@
 // to pick a configuration for a target device technology.
 //
 // Build & run:  ./build/examples/design_space [fault% ...]
+#include "common/std_string.hpp"  // first: see its header comment
+
 #include <algorithm>
 #include <iostream>
 

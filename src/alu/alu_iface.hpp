@@ -15,9 +15,10 @@
 // caller passes in, generated per computation by fault/MaskGenerator.
 #pragma once
 
+#include "common/std_string.hpp"  // first: see its header comment
+
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 #include "common/types.hpp"

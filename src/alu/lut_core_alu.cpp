@@ -1,5 +1,8 @@
 #include "alu/lut_core_alu.hpp"
 
+#include <array>
+#include <mutex>
+
 #include "alu/nanobox_tables.hpp"
 #include "lut/truth_table.hpp"
 
@@ -78,12 +81,21 @@ LutCoreAlu::LutCoreAlu(LutCoding coding) : coding_(coding) {
 BitVec LutCoreAlu::golden_storage() const {
   BitVec bits(sites_);
   for (std::size_t i = 0; i < luts_.size(); ++i) {
-    const BitVec stored = luts_[i].stored_bits();
-    for (std::size_t b = 0; b < stored.size(); ++b) {
-      bits.set(offsets_[i] + b, stored.get(b));
-    }
+    bits.splice(offsets_[i], luts_[i].stored_bits());
   }
   return bits;
+}
+
+const LutFabric& shared_lut_fabric(LutCoding coding) {
+  constexpr std::size_t kCodings =
+      static_cast<std::size_t>(LutCoding::kReedSolomon) + 1;
+  static std::array<std::once_flag, kCodings> once;
+  static std::array<std::unique_ptr<const LutFabric>, kCodings> fabrics;
+  const auto i = static_cast<std::size_t>(coding);
+  std::call_once(once[i], [&] {
+    fabrics[i] = std::make_unique<const LutFabric>(coding);
+  });
+  return *fabrics[i];
 }
 
 MaskView LutCoreAlu::lut_mask(MaskView mask, std::size_t slice,

@@ -69,4 +69,20 @@ class LutCoreAlu : public CoreAlu {
                                   Role r) const;
 };
 
+/// One LUT datapath of a given coding and its golden stored bits. Every
+/// legacy cell (ExecuteStage) of that coding points at the same
+/// instance: eval is const and touches no mutable state, so one fabric
+/// serves every cell on every thread.
+struct LutFabric {
+  explicit LutFabric(LutCoding coding)
+      : alu(coding), golden(alu.golden_storage()) {}
+
+  const LutCoreAlu alu;
+  const BitVec golden;  ///< alu.golden_storage(), computed once
+};
+
+/// The shared fabric for `coding`, built on first use (thread-safe) and
+/// kept for the life of the process.
+[[nodiscard]] const LutFabric& shared_lut_fabric(LutCoding coding);
+
 }  // namespace nbx

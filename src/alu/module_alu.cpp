@@ -1,7 +1,9 @@
 #include "alu/module_alu.hpp"
 
 #include <cassert>
+#include <initializer_list>
 #include <utility>
+#include <vector>
 
 #include "alu/module_plan.hpp"
 #include "fault/defect_map.hpp"
@@ -11,24 +13,32 @@ namespace nbx {
 
 namespace {
 
-// Copies `bits` into `dst` starting at dst bit `offset`.
-void splice_bits(const BitVec& bits, BitVec& dst, std::size_t offset) {
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    dst.set(offset + i, bits.get(i));
-  }
-}
-
-// Applies `defects` (whose space starts at `defect_offset` and covers
-// `golden.size()` cells) onto the mask segment starting at mask_offset.
-void impose_segment(const DefectMap& defects, std::size_t defect_offset,
-                    const BitVec& golden, BitVec& mask,
-                    std::size_t mask_offset) {
-  for (std::size_t i = 0; i < golden.size(); ++i) {
-    const auto flip = defects.forced_flip(defect_offset + i, golden.get(i));
-    if (flip.has_value()) {
-      mask.set(mask_offset + i, *flip);
+// Builds `g` once: the golden storage of `cores` (the physical replicas,
+// in defect-space order) followed by the voter's, spliced word-wide.
+const ModuleGolden& build_golden(ModuleGolden& g,
+                                 std::initializer_list<const CoreAlu*> cores,
+                                 const IVoter* voter) {
+  std::call_once(g.once, [&] {
+    std::vector<BitVec> parts;
+    for (const CoreAlu* c : cores) {
+      parts.push_back(c->golden_storage());
     }
-  }
+    if (voter != nullptr) {
+      parts.push_back(voter->golden_storage());
+    }
+    std::size_t total = 0;
+    for (const BitVec& p : parts) {
+      total += p.size();
+    }
+    g.core_bits = parts.front().size();
+    g.bits = BitVec(total);
+    std::size_t at = 0;
+    for (const BitVec& p : parts) {
+      g.bits.splice(at, p);
+      at += p.size();
+    }
+  });
+  return g;
 }
 
 }  // namespace
@@ -49,17 +59,21 @@ AluOutput SingleAlu::compute(Opcode op, std::uint8_t a, std::uint8_t b,
   return ex.out;
 }
 
-std::size_t SingleAlu::defectable_sites() const {
-  return core_->golden_storage().size();
+const ModuleGolden& SingleAlu::golden() const {
+  return build_golden(golden_, {core_.get()}, nullptr);
 }
 
-BitVec SingleAlu::golden_storage() const { return core_->golden_storage(); }
+std::size_t SingleAlu::defectable_sites() const {
+  return golden().bits.size();
+}
+
+BitVec SingleAlu::golden_storage() const { return golden().bits; }
 
 void SingleAlu::impose_defects(const DefectMap& defects,
                                BitVec& mask) const {
   assert(defects.sites() == defectable_sites());
   assert(mask.size() == fault_sites());
-  impose_segment(defects, 0, core_->golden_storage(), mask, 0);
+  defects.impose(golden().bits, mask);
 }
 
 SpaceRedundantAlu::SpaceRedundantAlu(
@@ -89,35 +103,32 @@ AluOutput SpaceRedundantAlu::compute(Opcode op, std::uint8_t a,
   return ex.out;
 }
 
-std::size_t SpaceRedundantAlu::defectable_sites() const {
-  return 3 * cores_[0]->golden_storage().size() +
-         voter_->golden_storage().size();
+const ModuleGolden& SpaceRedundantAlu::golden() const {
+  return build_golden(golden_,
+                      {cores_[0].get(), cores_[1].get(), cores_[2].get()},
+                      voter_.get());
 }
 
-BitVec SpaceRedundantAlu::golden_storage() const {
-  BitVec bits(defectable_sites());
-  const std::size_t core_bits = cores_[0]->golden_storage().size();
-  for (std::size_t i = 0; i < 3; ++i) {
-    splice_bits(cores_[i]->golden_storage(), bits, i * core_bits);
-  }
-  splice_bits(voter_->golden_storage(), bits, 3 * core_bits);
-  return bits;
+std::size_t SpaceRedundantAlu::defectable_sites() const {
+  return golden().bits.size();
 }
+
+BitVec SpaceRedundantAlu::golden_storage() const { return golden().bits; }
 
 void SpaceRedundantAlu::impose_defects(const DefectMap& defects,
                                        BitVec& mask) const {
   assert(defects.sites() == defectable_sites());
   assert(mask.size() == fault_sites());
-  const std::size_t storage = cores_[0]->golden_storage().size();
+  const ModuleGolden& g = golden();
+  const std::size_t storage = g.core_bits;
   const std::size_t sites = cores_[0]->fault_sites();
   // LUT cores: storage == sites, so defect space and mask space align
   // replica by replica. (CMOS cores have no storage; both are 0.)
   assert(storage == sites || storage == 0);
   for (std::size_t i = 0; i < 3; ++i) {
-    impose_segment(defects, i * storage, cores_[i]->golden_storage(), mask,
-                   i * sites);
+    defects.impose(g.bits, i * storage, storage, mask, i * sites);
   }
-  impose_segment(defects, 3 * storage, voter_->golden_storage(), mask,
+  defects.impose(g.bits, 3 * storage, g.bits.size() - 3 * storage, mask,
                  3 * sites);
 }
 
@@ -132,32 +143,30 @@ std::size_t TimeRedundantAlu::fault_sites() const {
          kTimeRedundancyStorageBits;
 }
 
-std::size_t TimeRedundantAlu::defectable_sites() const {
-  return core_->golden_storage().size() + voter_->golden_storage().size();
+const ModuleGolden& TimeRedundantAlu::golden() const {
+  return build_golden(golden_, {core_.get()}, voter_.get());
 }
 
-BitVec TimeRedundantAlu::golden_storage() const {
-  BitVec bits(defectable_sites());
-  splice_bits(core_->golden_storage(), bits, 0);
-  splice_bits(voter_->golden_storage(), bits,
-              core_->golden_storage().size());
-  return bits;
+std::size_t TimeRedundantAlu::defectable_sites() const {
+  return golden().bits.size();
 }
+
+BitVec TimeRedundantAlu::golden_storage() const { return golden().bits; }
 
 void TimeRedundantAlu::impose_defects(const DefectMap& defects,
                                       BitVec& mask) const {
   assert(defects.sites() == defectable_sites());
   assert(mask.size() == fault_sites());
-  const BitVec core_golden = core_->golden_storage();
-  const std::size_t storage = core_golden.size();
+  const ModuleGolden& g = golden();
+  const std::size_t storage = g.core_bits;
   const std::size_t sites = core_->fault_sites();
   assert(storage == sites || storage == 0);
   // The SAME physical core runs all three passes: its defects land
   // identically in every pass segment, so the vote cannot outvote them.
   for (std::size_t pass = 0; pass < 3; ++pass) {
-    impose_segment(defects, 0, core_golden, mask, pass * sites);
+    defects.impose(g.bits, 0, storage, mask, pass * sites);
   }
-  impose_segment(defects, storage, voter_->golden_storage(), mask,
+  defects.impose(g.bits, storage, g.bits.size() - storage, mask,
                  3 * sites);
   // The 27 inter-operation storage bits hold dynamic values; they are
   // transient-fault sites only (not defectable storage in this model).

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,16 @@
 #include "alu/voter.hpp"
 
 namespace nbx {
+
+/// A module ALU's golden defectable storage in defect-space order
+/// ([physical cores...|voter]), built on first use. Engines share one
+/// ALU across threads, so the build runs under call_once; after it the
+/// bits are read-only.
+struct ModuleGolden {
+  std::once_flag once;
+  BitVec bits;
+  std::size_t core_bits = 0;  ///< storage cells of one core
+};
 
 /// Module level of a Table-2 ALU (middle letter of the name).
 enum class ModuleLevel : std::uint8_t {
@@ -56,6 +67,9 @@ class SingleAlu : public IAlu {
  private:
   std::string name_;
   std::unique_ptr<CoreAlu> core_;
+  mutable ModuleGolden golden_;
+
+  [[nodiscard]] const ModuleGolden& golden() const;
 };
 
 /// Three concurrent core copies + voter (alus*).
@@ -88,6 +102,9 @@ class SpaceRedundantAlu : public IAlu {
   std::string name_;
   std::vector<std::unique_ptr<CoreAlu>> cores_;
   std::unique_ptr<IVoter> voter_;
+  mutable ModuleGolden golden_;
+
+  [[nodiscard]] const ModuleGolden& golden() const;
 };
 
 /// One core evaluated serially three times, results stored then voted
@@ -121,6 +138,9 @@ class TimeRedundantAlu : public IAlu {
   std::string name_;
   std::unique_ptr<CoreAlu> core_;
   std::unique_ptr<IVoter> voter_;
+  mutable ModuleGolden golden_;
+
+  [[nodiscard]] const ModuleGolden& golden() const;
 };
 
 }  // namespace nbx

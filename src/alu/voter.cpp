@@ -82,10 +82,7 @@ VoteOutput LutVoter::vote(const VoteInput& in, MaskView mask,
 BitVec LutVoter::golden_storage() const {
   BitVec bits(sites_);
   for (std::size_t i = 0; i < luts_.size(); ++i) {
-    const BitVec stored = luts_[i].stored_bits();
-    for (std::size_t b = 0; b < stored.size(); ++b) {
-      bits.set(offsets_[i] + b, stored.get(b));
-    }
+    bits.splice(offsets_[i], luts_[i].stored_bits());
   }
   return bits;
 }

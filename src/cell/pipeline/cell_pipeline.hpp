@@ -21,6 +21,8 @@
 // silent-corruption channel the ALU sweeps measure.
 #pragma once
 
+#include "common/std_string.hpp"  // first: see its header comment
+
 #include <array>
 #include <cstdint>
 #include <memory>

@@ -1,5 +1,6 @@
 #include "cell/pipeline/instruction_store.hpp"
 
+#include <bit>
 #include <cassert>
 
 namespace nbx {
@@ -39,21 +40,21 @@ void InstructionStore::load(const std::vector<Instruction>& program,
   }
 
   // Manufacture stuck-at defects over the whole fabric and bake them
-  // in: a stuck cell reads as its stuck value on every fetch.
+  // in, one record copy at a time: a stuck cell reads as its stuck value
+  // on every fetch.
   const DefectMap map = DefectMap::manufacture(total, defect_density, rng);
   defects_ = map.defect_count();
-  stuck_sites_ = BitVec(total);
+  stuck_sites_ = map.defective();
   if (defects_ != 0) {
-    for (std::size_t s = 0; s < total; ++s) {
-      if (!map.is_defective(s)) {
-        continue;
-      }
-      stuck_sites_.set(s, true);
-      if (const auto flip = map.forced_flip(s, bits_.get(s));
-          flip.has_value() && *flip) {
-        bits_.flip(s);
-        ++record_defect_flips_[s / (kRecordBits * copies_)];
-      }
+    for (std::size_t r = 0; r < count_ * copies_; ++r) {
+      const std::size_t at = r * kRecordBits;
+      const std::uint64_t stored = bits_.extract(at, kRecordBits);
+      const std::uint64_t flips =
+          map.defective().extract(at, kRecordBits) &
+          (map.stuck().extract(at, kRecordBits) ^ stored);
+      bits_.deposit(at, kRecordBits, stored ^ flips);
+      record_defect_flips_[r / copies_] +=
+          static_cast<std::uint16_t>(std::popcount(flips));
     }
   }
 }
@@ -65,31 +66,27 @@ FetchedRecord InstructionStore::fetch(std::size_t pc,
   assert(gen.sites() == record_sites());
   gen.generate(rng, mask_);
   const std::size_t base = pc * record_sites();
-  if (defects_ != 0) {
-    // Defect dominance: a stuck cell cannot also flip transiently, so
-    // transient hits landing on defective sites are absorbed.
-    for (std::size_t i = 0; i < record_sites(); ++i) {
-      if (mask_.get(i) && stuck_sites_.get(base + i)) {
-        mask_.set(i, false);
-      }
-    }
+  // Each copy as read: its stored bits under the transient mask, with
+  // hits on defective sites absorbed (defect dominance: a stuck cell
+  // cannot also flip transiently).
+  std::uint64_t seen = 0;
+  std::uint64_t copy[3] = {0, 0, 0};
+  for (std::size_t c = 0; c < copies_; ++c) {
+    const std::size_t at = base + c * kRecordBits;
+    const std::uint64_t hits = mask_.extract(c * kRecordBits, kRecordBits) &
+                               ~stuck_sites_.extract(at, kRecordBits);
+    seen += static_cast<std::uint64_t>(std::popcount(hits));
+    copy[c] = bits_.extract(at, kRecordBits) ^ hits;
   }
   if (bit_faults != nullptr) {
-    *bit_faults += mask_.popcount() + record_defect_flips_[pc];
+    *bit_faults += seen + record_defect_flips_[pc];
   }
 
-  // Per-bit majority over the (possibly corrupted) copies.
-  std::uint64_t voted = 0;
-  for (std::size_t bit = 0; bit < kRecordBits; ++bit) {
-    unsigned ones = 0;
-    for (std::size_t c = 0; c < copies_; ++c) {
-      const std::size_t local = c * kRecordBits + bit;
-      ones += (bits_.get(base + local) ^ mask_.get(local)) ? 1u : 0u;
-    }
-    if (ones * 2 > copies_) {
-      voted |= std::uint64_t{1} << bit;
-    }
-  }
+  // Bitwise majority over the (possibly corrupted) copies.
+  const std::uint64_t voted =
+      copies_ == 3 ? (copy[0] & copy[1]) | (copy[0] & copy[2]) |
+                         (copy[1] & copy[2])
+                   : copy[0];
 
   FetchedRecord rec;
   rec.instr_id = static_cast<std::uint16_t>((voted >> kIdLo) & 0xFFFFu);

@@ -31,18 +31,16 @@ DecodedOp DecodeStage::run(const FetchedRecord& rec, Rng& rng,
   if (bit_faults != nullptr) {
     *bit_faults += mask_.popcount();
   }
-  // Per-bit majority over the faulted copies.
-  std::uint32_t voted = 0;
-  for (std::size_t bit = 0; bit < kControlWordBits; ++bit) {
-    unsigned ones = 0;
-    for (std::size_t c = 0; c < copies_; ++c) {
-      const bool v = (((word >> bit) & 1u) != 0) ^
-                     mask_.get(c * kControlWordBits + bit);
-      ones += v ? 1u : 0u;
-    }
-    if (ones * 2 > copies_) {
-      voted |= std::uint32_t{1} << bit;
-    }
+  // Bitwise majority over the faulted copies.
+  const auto copy = [&](std::size_t c) {
+    return word ^ static_cast<std::uint32_t>(
+                      mask_.extract(c * kControlWordBits, kControlWordBits));
+  };
+  std::uint32_t voted = copy(0);
+  if (copies_ == 3) {
+    const std::uint32_t second = copy(1);
+    const std::uint32_t third = copy(2);
+    voted = (voted & second) | (voted & third) | (second & third);
   }
 
   DecodedOp op;
@@ -61,7 +59,7 @@ DecodedOp DecodeStage::run(const FetchedRecord& rec, Rng& rng,
 // --------------------------------------------------------------- execute
 
 ExecuteStage::ExecuteStage(LutCoding coding)
-    : lut_(std::make_unique<LutCoreAlu>(coding)) {}
+    : lut_(&shared_lut_fabric(coding)) {}
 
 ExecuteStage::ExecuteStage(std::unique_ptr<IAlu> alu)
     : ialu_(std::move(alu)) {
@@ -69,39 +67,32 @@ ExecuteStage::ExecuteStage(std::unique_ptr<IAlu> alu)
 }
 
 std::size_t ExecuteStage::fault_sites() const {
-  return lut_ != nullptr ? lut_->fault_sites() : ialu_->fault_sites();
+  return lut_ != nullptr ? lut_->alu.fault_sites() : ialu_->fault_sites();
 }
 
 std::size_t ExecuteStage::defectable_sites() const {
-  return lut_ != nullptr ? lut_->fault_sites() : ialu_->defectable_sites();
+  return lut_ != nullptr ? lut_->alu.fault_sites()
+                         : ialu_->defectable_sites();
 }
 
 void ExecuteStage::manufacture(double defect_density,
                                std::size_t spare_sites, bool remap,
                                Rng& rng) {
-  golden_bits_ =
-      lut_ != nullptr ? lut_->golden_storage() : ialu_->golden_storage();
   // The manufactured fabric is the logical fault-site window plus any
   // spare pool; with neither spares nor remap this is exactly the
   // historical manufacture call (same sites, same rng draws).
   defects_ = DefectMap::manufacture(defectable_sites() + spare_sites,
                                     defect_density, rng);
   manufactured_ = defects_.defect_count();
-  if (spare_sites > 0 || remap) {
-    RemapPlan plan;
-    if (remap) {
-      plan = remap_around_defects(defects_, defectable_sites());
-      remap_feasible_ = plan.feasible;
-      spares_used_ = plan.spares_used;
-    } else {
-      // Oblivious placement: storage sits on the leading window and the
-      // spare pool is dead weight.
-      plan.logical_to_physical.resize(defectable_sites());
-      for (std::size_t i = 0; i < plan.logical_to_physical.size(); ++i) {
-        plan.logical_to_physical[i] = static_cast<std::uint32_t>(i);
-      }
-    }
+  if (remap) {
+    const RemapPlan plan = remap_around_defects(defects_, defectable_sites());
+    remap_feasible_ = plan.feasible;
+    spares_used_ = plan.spares_used;
     defects_ = remap_logical_defects(defects_, plan);
+  } else if (spare_sites > 0) {
+    // Oblivious placement: storage sits on the leading window and the
+    // spare pool is dead weight.
+    defects_ = defects_.prefix(defectable_sites());
   }
 }
 
@@ -117,9 +108,9 @@ std::uint8_t ExecuteStage::pass(Opcode op, std::uint8_t a, std::uint8_t b,
   // cell's manufacturing defects overlaid on top (stuck cells dominate).
   gen_.generate(rng, mask_);
   if (defects_.defect_count() != 0) {
-    defects_.impose(golden_bits_, mask_);
+    defects_.impose(lut_->golden, mask_);
   }
-  return lut_->eval(op, a, b, MaskView(mask_, 0, mask_.size()), stats);
+  return lut_->alu.eval(op, a, b, MaskView(mask_, 0, mask_.size()), stats);
 }
 
 AluOutput ExecuteStage::run(Opcode op, std::uint8_t a, std::uint8_t b,

@@ -128,7 +128,8 @@ class DecodeStage {
 /// catalogued IAlu (CellPipeline).
 class ExecuteStage {
  public:
-  /// Legacy fabric: the cell's LUT ALU with the chosen bit coding.
+  /// Legacy fabric: the cell's LUT ALU with the chosen bit coding — the
+  /// process-wide shared_lut_fabric(coding), never a copy per cell.
   explicit ExecuteStage(LutCoding coding);
   /// Program fabric: any Table-2 catalogue ALU.
   explicit ExecuteStage(std::unique_ptr<IAlu> alu);
@@ -166,10 +167,9 @@ class ExecuteStage {
   [[nodiscard]] const IAlu* alu() const { return ialu_.get(); }
 
  private:
-  std::unique_ptr<LutCoreAlu> lut_;  // legacy fabric
-  std::unique_ptr<IAlu> ialu_;       // program fabric
+  const LutFabric* lut_ = nullptr;  // legacy fabric (shared, immutable)
+  std::unique_ptr<IAlu> ialu_;      // program fabric
   DefectMap defects_{0};
-  BitVec golden_bits_;
   MaskGenerator gen_{0, 0.0};
   BitVec mask_;
   std::size_t manufactured_ = 0;

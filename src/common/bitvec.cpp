@@ -1,5 +1,6 @@
 #include "common/bitvec.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -48,6 +49,14 @@ bool BitVec::any() const {
   return false;
 }
 
+void BitVec::splice(std::size_t offset, const BitVec& bits) {
+  assert(offset + bits.size() <= size_);
+  for (std::size_t at = 0; at < bits.size(); at += 64) {
+    const std::size_t n = std::min<std::size_t>(64, bits.size() - at);
+    deposit(offset + at, n, bits.extract(at, n));
+  }
+}
+
 std::string BitVec::to_string() const {
   std::string s(size_, '0');
   for (std::size_t i = 0; i < size_; ++i) {
@@ -56,29 +65,6 @@ std::string BitVec::to_string() const {
     }
   }
   return s;
-}
-
-std::uint64_t BitVec::extract(std::size_t lo, std::size_t n) const {
-  assert(n <= 64 && lo + n <= size_);
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    v |= static_cast<std::uint64_t>(get(lo + i)) << i;
-  }
-  return v;
-}
-
-void BitVec::deposit(std::size_t lo, std::size_t n, std::uint64_t v) {
-  assert(n <= 64 && lo + n <= size_);
-  for (std::size_t i = 0; i < n; ++i) {
-    set(lo + i, (v >> i) & 1u);
-  }
-}
-
-void BitVec::mask_tail() {
-  const std::size_t tail = size_ & 63;
-  if (tail != 0 && !words_.empty()) {
-    words_.back() &= (std::uint64_t{1} << tail) - 1;
-  }
 }
 
 }  // namespace nbx

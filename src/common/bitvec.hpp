@@ -7,9 +7,12 @@
 // representation all of those share.
 #pragma once
 
+#include "common/std_string.hpp"  // first: see its header comment
+
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <span>
 #include <vector>
 
 namespace nbx {
@@ -71,17 +74,54 @@ class BitVec {
   /// MSB-first string rendering, inverse of from_string.
   [[nodiscard]] std::string to_string() const;
 
-  /// Extracts bits [lo, lo+n) as an integer, bit lo = LSB. n must be <= 64.
-  [[nodiscard]] std::uint64_t extract(std::size_t lo, std::size_t n) const;
+  /// Extracts bits [lo, lo+n) as an integer, bit lo = LSB. n must be
+  /// <= 64. At most two word reads, at any alignment.
+  [[nodiscard]] std::uint64_t extract(std::size_t lo, std::size_t n) const {
+    assert(n <= 64 && lo + n <= size_);
+    if (n == 0) {
+      return 0;
+    }
+    const std::size_t w = lo >> 6;
+    const std::size_t b = lo & 63;
+    std::uint64_t v = words_[w] >> b;
+    if (b + n > 64) {
+      v |= words_[w + 1] << (64 - b);
+    }
+    return n == 64 ? v : v & ((std::uint64_t{1} << n) - 1);
+  }
 
-  /// Deposits the low `n` bits of `v` at [lo, lo+n). n must be <= 64.
-  void deposit(std::size_t lo, std::size_t n, std::uint64_t v);
+  /// Deposits the low `n` bits of `v` at [lo, lo+n); bits outside the
+  /// range are untouched. n must be <= 64. At most two word writes.
+  void deposit(std::size_t lo, std::size_t n, std::uint64_t v) {
+    assert(n <= 64 && lo + n <= size_);
+    if (n == 0) {
+      return;
+    }
+    const std::uint64_t m =
+        n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+    v &= m;
+    const std::size_t w = lo >> 6;
+    const std::size_t b = lo & 63;
+    words_[w] = (words_[w] & ~(m << b)) | (v << b);
+    if (b + n > 64) {
+      words_[w + 1] =
+          (words_[w + 1] & ~(m >> (64 - b))) | (v >> (64 - b));
+    }
+  }
+
+  /// Copies `bits` into [offset, offset + bits.size()), 64 bits per step.
+  void splice(std::size_t offset, const BitVec& bits);
+
+  /// The backing words, bit i in words()[i / 64] at position i % 64.
+  /// Writers must leave the bits past size() in the last word zero.
+  [[nodiscard]] std::span<const std::uint64_t> words() const {
+    return words_;
+  }
+  [[nodiscard]] std::span<std::uint64_t> words() { return words_; }
 
  private:
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;
-
-  void mask_tail();
 };
 
 }  // namespace nbx

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <unordered_set>
 
 namespace nbx {
@@ -100,6 +101,45 @@ bool Rng::bernoulli(double p) {
     return true;
   }
   return uniform01() < p;
+}
+
+void Rng::fill_bernoulli_marked(double p, std::uint64_t* hit,
+                                std::uint64_t* mark, std::size_t n) {
+  const std::size_t words = (n + 63) / 64;
+  if (p <= 0.0) {
+    std::fill(hit, hit + words, 0);
+    std::fill(mark, mark + words, 0);
+    return;
+  }
+  const bool always = p >= 1.0;
+  // k * 2^-53 < p  <=>  k < p * 2^53  <=>  k < ceil(p * 2^53) for an
+  // integer k; the scaling by 2^53 is exact. `!(p > 0)` is NaN: a draw
+  // that never hits.
+  const std::uint64_t threshold =
+      always || !(p > 0.0)
+          ? 0
+          : static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+  std::uint64_t s0 = s_[0];
+  std::uint64_t s1 = s_[1];
+  std::uint64_t s2 = s_[2];
+  std::uint64_t s3 = s_[3];
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::size_t bits = std::min<std::size_t>(64, n - w * 64);
+    std::uint64_t h = 0;
+    std::uint64_t m = 0;
+    for (std::size_t j = 0; j < bits; ++j) {
+      if (always || (xoshiro_next(s0, s1, s2, s3) >> 11) < threshold) {
+        h |= std::uint64_t{1} << j;
+        m |= (~xoshiro_next(s0, s1, s2, s3) >> 63) << j;
+      }
+    }
+    hit[w] = h;
+    mark[w] = m;
+  }
+  s_[0] = s0;
+  s_[1] = s1;
+  s_[2] = s2;
+  s_[3] = s3;
 }
 
 std::uint64_t mix64(std::uint64_t x) {

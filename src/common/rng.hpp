@@ -62,6 +62,21 @@ class Rng {
   /// True with probability p (clamped to [0,1]).
   bool bernoulli(double p);
 
+  /// Block form of the per-site loop
+  ///   hit_i = bernoulli(p); if (hit_i) mark_i = bernoulli(0.5);
+  /// over sites [0, n): writes hit_i and mark_i (0 where !hit_i) to bit
+  /// i % 64 of hit[i / 64] and mark[i / 64], overwriting ceil(n / 64)
+  /// words of each. It makes the same draws in the same order and leaves
+  /// the generator where the loop would, with the state held in locals:
+  ///   * 0 < p < 1: one draw x per site, hit iff (x >> 11) < ceil(p*2^53)
+  ///     (exactly uniform01() < p);
+  ///   * p <= 0: no draws, no hits; p >= 1: no hit draw, every site hits;
+  ///   * NaN: one draw per site, never a hit (uniform01() < NaN is false);
+  ///   * a hit's mark draws y: mark iff the top bit of y is 0 (exactly
+  ///     bernoulli(0.5), i.e. (y >> 11) < 2^52).
+  void fill_bernoulli_marked(double p, std::uint64_t* hit,
+                             std::uint64_t* mark, std::size_t n);
+
   /// Samples `k` distinct values from [0, n) in O(k) expected time
   /// (Floyd's algorithm). Order of the result is unspecified.
   /// Requires k <= n.

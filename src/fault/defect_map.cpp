@@ -1,5 +1,6 @@
 #include "fault/defect_map.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace nbx {
@@ -10,18 +11,9 @@ DefectMap::DefectMap(std::size_t sites)
 DefectMap DefectMap::manufacture(std::size_t sites, double defect_density,
                                  Rng& rng) {
   DefectMap map(sites);
-  for (std::size_t i = 0; i < sites; ++i) {
-    if (rng.bernoulli(defect_density)) {
-      map.add(i, rng.bernoulli(0.5) ? DefectKind::kStuckAt1
-                                    : DefectKind::kStuckAt0);
-    }
-  }
+  rng.fill_bernoulli_marked(defect_density, map.defective_.words().data(),
+                            map.stuck_value_.words().data(), sites);
   return map;
-}
-
-void DefectMap::add(std::size_t site, DefectKind kind) {
-  defective_.set(site, true);
-  stuck_value_.set(site, kind == DefectKind::kStuckAt1);
 }
 
 std::optional<bool> DefectMap::forced_flip(std::size_t site,
@@ -32,14 +24,35 @@ std::optional<bool> DefectMap::forced_flip(std::size_t site,
   return stuck_value_.get(site) != golden;
 }
 
-void DefectMap::impose(const BitVec& golden, BitVec& mask) const {
+void DefectMap::impose(const BitVec& golden, std::size_t first,
+                       std::size_t count, BitVec& mask,
+                       std::size_t mask_offset) const {
   assert(golden.size() == sites());
-  assert(mask.size() >= sites());
-  for (std::size_t i = 0; i < sites(); ++i) {
-    if (defective_.get(i)) {
-      mask.set(i, stuck_value_.get(i) != golden.get(i));
+  assert(first + count <= sites());
+  assert(mask_offset + count <= mask.size());
+  for (std::size_t done = 0; done < count; done += 64) {
+    const std::size_t n = std::min<std::size_t>(64, count - done);
+    const std::size_t site = first + done;
+    const std::uint64_t d = defective_.extract(site, n);
+    if (d == 0) {
+      continue;
     }
+    const std::uint64_t forced =
+        d & (stuck_value_.extract(site, n) ^ golden.extract(site, n));
+    const std::size_t at = mask_offset + done;
+    mask.deposit(at, n, (mask.extract(at, n) & ~d) | forced);
   }
+}
+
+DefectMap DefectMap::prefix(std::size_t n) const {
+  assert(n <= sites());
+  DefectMap out(n);
+  for (std::size_t at = 0; at < n; at += 64) {
+    const std::size_t k = std::min<std::size_t>(64, n - at);
+    out.defective_.deposit(at, k, defective_.extract(at, k));
+    out.stuck_value_.deposit(at, k, stuck_value_.extract(at, k));
+  }
+  return out;
 }
 
 double DefectMap::density() const {

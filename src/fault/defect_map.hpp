@@ -46,6 +46,10 @@ class DefectMap {
 
   /// Manufactures a part in which each cell is independently defective
   /// with probability `defect_density` (0..1), stuck polarity uniform.
+  /// Draw contract (Rng::fill_bernoulli_marked): per site one 64-bit
+  /// draw x, defective iff (x >> 11) < ceil(density * 2^53); a defective
+  /// site takes a second draw y and is stuck at 1 iff y's top bit is 0.
+  /// Density <= 0 draws nothing; density >= 1 skips the first draw.
   static DefectMap manufacture(std::size_t sites, double defect_density,
                                Rng& rng);
 
@@ -56,9 +60,22 @@ class DefectMap {
   [[nodiscard]] bool is_defective(std::size_t site) const {
     return defective_.get(site);
   }
+  /// Defective-site bitmap, one bit per site.
+  [[nodiscard]] const BitVec& defective() const { return defective_; }
+  /// Stuck polarity per site (1 = stuck at 1); zero at healthy sites.
+  [[nodiscard]] const BitVec& stuck() const { return stuck_value_; }
 
   /// Marks `site` stuck at the given polarity.
-  void add(std::size_t site, DefectKind kind);
+  void add(std::size_t site, DefectKind kind) {
+    set_site(site, true, kind == DefectKind::kStuckAt1);
+  }
+
+  /// Overwrites `site`: stuck at `stuck_at_1 ? 1 : 0` when `defective`,
+  /// healthy otherwise.
+  void set_site(std::size_t site, bool defective, bool stuck_at_1) {
+    defective_.set(site, defective);
+    stuck_value_.set(site, defective && stuck_at_1);
+  }
 
   /// For a defective site, whether it reads flipped given the golden
   /// stored bit; nullopt for healthy sites.
@@ -68,8 +85,21 @@ class DefectMap {
   /// Composes this map into a per-computation transient flip mask over
   /// the same site space: defective sites are overwritten with their
   /// forced flip value (stuck cells both create permanent errors and
-  /// absorb transient hits). `golden` holds the golden stored bits.
-  void impose(const BitVec& golden, BitVec& mask) const;
+  /// absorb transient hits). `golden` holds the golden stored bits
+  /// (size sites()); `mask` must cover sites().
+  void impose(const BitVec& golden, BitVec& mask) const {
+    impose(golden, 0, sites(), mask, 0);
+  }
+
+  /// Segment form: composes sites [first, first + count) into mask bits
+  /// [mask_offset, mask_offset + count), 64 sites per step:
+  ///   mask = (mask & ~defective) | (defective & (stuck ^ golden)).
+  /// `golden` is indexed by site, like this map (size sites()).
+  void impose(const BitVec& golden, std::size_t first, std::size_t count,
+              BitVec& mask, std::size_t mask_offset) const;
+
+  /// The map restricted to its leading `n` sites (n <= sites()).
+  [[nodiscard]] DefectMap prefix(std::size_t n) const;
 
   /// Fraction of sites that are defective.
   [[nodiscard]] double density() const;

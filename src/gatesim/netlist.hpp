@@ -11,10 +11,11 @@
 // previously created gates), which the builder asserts.
 #pragma once
 
+#include "common/std_string.hpp"  // first: see its header comment
+
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
-#include <string>
 #include <vector>
 
 #include "fault/mask_view.hpp"

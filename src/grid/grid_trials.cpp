@@ -27,6 +27,8 @@ struct GridTrialBackend {
   std::vector<GridTrialResult>& results;
   obs::ProgressReporter* progress;
   std::mutex& progress_mu;
+  obs::Profiler* profiler;       // null: untimed
+  std::size_t st_manufacture;    // profiler->stage_index("manufacture")
 
   [[nodiscard]] std::size_t item_count() const { return specs.size(); }
   [[nodiscard]] std::string_view stage() const { return "grid_trial"; }
@@ -35,6 +37,11 @@ struct GridTrialBackend {
     const GridTrialSpec& spec = specs[i];
     GridTrialResult& out = results[i];
     out.label = spec.label;
+    // Manufacture: build the grid (every cell's fabric and defect map),
+    // condemn infeasible remaps and load the program pipelines; the
+    // remainder of the item is the run.
+    const double manufacture_start =
+        profiler != nullptr ? profiler->now_seconds() : 0.0;
     NanoBoxGrid grid(spec.rows, spec.cols, spec.cell);
     if (spec.trace != nullptr) {
       grid.attach_trace(spec.trace);
@@ -42,8 +49,16 @@ struct GridTrialBackend {
     if (spec.condemn_infeasible_remaps) {
       out.cells_condemned = condemn_infeasible(grid, spec.min_live_cells);
     }
+    std::vector<ProcessorCell*> loaded;
     if (!spec.program.empty()) {
-      run_program_trial(spec, grid, out);
+      loaded = load_programs(spec, grid);
+    }
+    if (profiler != nullptr) {
+      profiler->record(st_manufacture, manufacture_start,
+                       profiler->now_seconds() - manufacture_start);
+    }
+    if (!spec.program.empty()) {
+      run_program_trial(spec, loaded, out);
     } else {
       ControlProcessor cp(grid, spec.cp_seed);
       out.output = cp.run_image_op(spec.image, spec.op, spec.options,
@@ -62,24 +77,34 @@ struct GridTrialBackend {
     }
   }
 
-  /// Program-driven trial: every live cell loads the NBXS stream into
-  /// its 4-deep pipeline and runs it; per-stage counters sum across the
-  /// grid and percent-correct is scored against the architectural
-  /// reference, pooled over all (cell, instruction) pairs. Each cell's
-  /// pipeline seeds from (cell seed, pipeline seed, cell id), so the
-  /// trial stays a pure function of its spec.
+  /// Loads the NBXS stream into the 4-deep pipeline of every live cell
+  /// and returns the cells that accepted it. Each cell's pipeline seeds
+  /// from (cell seed, pipeline seed, cell id), so loading every cell
+  /// before running any draws exactly what interleaving them would.
+  static std::vector<ProcessorCell*> load_programs(const GridTrialSpec& spec,
+                                                   NanoBoxGrid& grid) {
+    std::vector<ProcessorCell*> loaded;
+    for (ProcessorCell* c : grid.all_cells()) {
+      // An unknown execute ALU fails the load: the config error
+      // surfaces as 0 program cells.
+      if (c->alive() && c->load_program(spec.program)) {
+        loaded.push_back(c);
+      }
+    }
+    return loaded;
+  }
+
+  /// Program-driven trial: every loaded cell runs its pipeline; per-stage
+  /// counters sum across the grid and percent-correct is scored against
+  /// the architectural reference, pooled over all (cell, instruction)
+  /// pairs.
   static void run_program_trial(const GridTrialSpec& spec,
-                                NanoBoxGrid& grid, GridTrialResult& out) {
+                                const std::vector<ProcessorCell*>& loaded,
+                                GridTrialResult& out) {
     out.program_mode = true;
     std::size_t total = 0;
     std::size_t correct = 0;
-    for (ProcessorCell* c : grid.all_cells()) {
-      if (!c->alive()) {
-        continue;
-      }
-      if (!c->load_program(spec.program)) {
-        continue;  // unknown execute ALU: config error surfaces as 0 cells
-      }
+    for (ProcessorCell* c : loaded) {
       const PipelineRunResult r = c->run_program(spec.program_max_cycles);
       ++out.program_cells;
       out.pipeline += c->pipeline()->counters();
@@ -134,7 +159,10 @@ std::vector<GridTrialResult> run_grid_trials(
     obs::ProgressReporter* progress) {
   std::vector<GridTrialResult> results(specs.size());
   std::mutex progress_mu;
-  GridTrialBackend backend{specs, results, progress, progress_mu};
+  obs::Profiler* profiler = engine.parallel().profiler;
+  GridTrialBackend backend{
+      specs, results, progress, progress_mu, profiler,
+      profiler != nullptr ? profiler->stage_index("manufacture") : 0};
   engine.execute(backend);
   return results;
 }

@@ -3,11 +3,57 @@
 // redundant datapath carries its defects through all three passes.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <tuple>
+#include <vector>
+
 #include "alu/alu_factory.hpp"
+#include "alu/module_alu.hpp"
 #include "fault/defect_map.hpp"
 
 namespace nbx {
 namespace {
+
+// One (first defect site, site count, first mask bit) segment.
+using Segment = std::tuple<std::size_t, std::size_t, std::size_t>;
+
+// Where each part of an ALU's defect space lands in its transient mask:
+// one segment per physical replica (a time-redundant core once per
+// pass), then the voter after the three core segments.
+std::vector<Segment> defect_segments(const IAlu& alu) {
+  const std::size_t total = alu.defectable_sites();
+  if (dynamic_cast<const SingleAlu*>(&alu) != nullptr) {
+    return {{0, total, 0}};
+  }
+  if (const auto* s = dynamic_cast<const SpaceRedundantAlu*>(&alu)) {
+    const std::size_t storage = s->core(0).golden_storage().size();
+    const std::size_t sites = s->core(0).fault_sites();
+    return {{0, storage, 0},
+            {storage, storage, sites},
+            {2 * storage, storage, 2 * sites},
+            {3 * storage, total - 3 * storage, 3 * sites}};
+  }
+  const auto& t = dynamic_cast<const TimeRedundantAlu&>(alu);
+  const std::size_t storage = t.core().golden_storage().size();
+  const std::size_t sites = t.core().fault_sites();
+  return {{0, storage, 0},
+          {0, storage, sites},
+          {0, storage, 2 * sites},
+          {storage, total - storage, 3 * sites}};
+}
+
+// The per-bit imposition the word-wide DefectMap::impose replaced.
+void impose_per_bit(const DefectMap& map, const BitVec& golden,
+                    const std::vector<Segment>& segments, BitVec& mask) {
+  for (const auto& [first, count, offset] : segments) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (const auto flip =
+              map.forced_flip(first + i, golden.get(first + i))) {
+        mask.set(offset + i, *flip);
+      }
+    }
+  }
+}
 
 TEST(AluDefects, DefectableSiteAccounting) {
   // LUT ALUs: every transient site is a storage cell.
@@ -182,6 +228,54 @@ TEST(AluDefects, SpaceBeatsTimeUnderDefectsStatistically) {
   EXPECT_GT(space_acc, time_acc + 0.05)
       << "space=" << space_acc << " time=" << time_acc;
   EXPECT_GT(space_acc, 0.90);
+}
+
+TEST(AluDefects, ImposeDefectsMatchesThePerBitSegmentReference) {
+  // Every catalogue ALU with defectable storage, including the 672-site
+  // Hamming cores whose segments start off a word boundary.
+  Rng rng(31);
+  for (const AluSpec& spec : all_specs()) {
+    const auto alu = make_alu(spec.name);
+    if (alu->defectable_sites() == 0) {
+      continue;
+    }
+    const DefectMap map =
+        DefectMap::manufacture(alu->defectable_sites(), 0.1, rng);
+    BitVec transient(alu->fault_sites());
+    for (std::size_t i = 0; i < transient.size(); ++i) {
+      transient.set(i, rng.bernoulli(0.05));
+    }
+    BitVec word_wide = transient;
+    BitVec per_bit = transient;
+    alu->impose_defects(map, word_wide);
+    impose_per_bit(map, alu->golden_storage(), defect_segments(*alu),
+                   per_bit);
+    EXPECT_EQ(word_wide, per_bit) << spec.name;
+  }
+}
+
+TEST(AluDefects, GoldenStorageIsBuiltOnceUnderConcurrentFirstUse) {
+  // Engines share one ALU across threads; the first impose_defects calls
+  // race to build its golden storage, and every thread must see it
+  // whole.
+  const auto alu = make_alu("aluts");
+  const auto reference = make_alu("aluts");
+  Rng rng(8);
+  const DefectMap map =
+      DefectMap::manufacture(reference->defectable_sites(), 0.05, rng);
+  BitVec expected(reference->fault_sites());
+  reference->impose_defects(map, expected);
+  std::vector<BitVec> masks(4, BitVec(alu->fault_sites()));
+  std::vector<std::thread> threads;
+  for (BitVec& m : masks) {
+    threads.emplace_back([&alu, &map, &m] { alu->impose_defects(map, m); });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (const BitVec& m : masks) {
+    EXPECT_EQ(m, expected);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <thread>
+#include <vector>
+
 #include "common/types.hpp"
 
 namespace nbx {
@@ -29,6 +33,34 @@ INSTANTIATE_TEST_SUITE_P(Codings, LutCoreAluCodings,
                                            LutCoding::kHamming,
                                            LutCoding::kTmr,
                                            LutCoding::kHsiao));
+
+TEST(SharedLutFabric, OneImmutableFabricPerCoding) {
+  for (const LutCoding c :
+       {LutCoding::kNone, LutCoding::kHamming, LutCoding::kTmr}) {
+    const LutFabric& f = shared_lut_fabric(c);
+    EXPECT_EQ(&f, &shared_lut_fabric(c));
+    EXPECT_EQ(f.alu.coding(), c);
+    EXPECT_EQ(f.golden, LutCoreAlu(c).golden_storage());
+  }
+  EXPECT_NE(&shared_lut_fabric(LutCoding::kNone),
+            &shared_lut_fabric(LutCoding::kTmr));
+}
+
+TEST(SharedLutFabric, ConcurrentFirstUseBuildsOneInstance) {
+  std::array<const LutFabric*, 4> seen{};
+  std::vector<std::thread> threads;
+  for (const LutFabric*& s : seen) {
+    threads.emplace_back(
+        [&s] { s = &shared_lut_fabric(LutCoding::kTmrInterleaved); });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (const LutFabric* s : seen) {
+    EXPECT_EQ(s, seen[0]);
+  }
+  EXPECT_EQ(seen[0]->golden.size(), seen[0]->alu.fault_sites());
+}
 
 TEST(LutCoreAlu, SiteCountsMatchTable2) {
   EXPECT_EQ(LutCoreAlu(LutCoding::kNone).fault_sites(), 512u);     // alunn

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "cell/pipeline/instruction_store.hpp"
 #include "cell/processor_cell.hpp"
 #include "goldens.hpp"
 #include "workload/instruction_stream.hpp"
@@ -130,6 +131,66 @@ TEST(CellPipelineTest, TmrStoreMasksEveryFetchFault) {
   EXPECT_GT(pipe.counters().stage[0].bit_faults, 0u);
   EXPECT_EQ(res.correct, program.size());
   EXPECT_EQ(res.percent_correct, 100.0);
+}
+
+/// FNV-1a over three rounds of fetching every record of a 64-record
+/// store manufactured at 5% stuck-at density, under 5% transients:
+/// the fetched fields and each fetch's flipped-bit count.
+std::uint64_t store_fetch_digest(LutCoding coding) {
+  Rng prog_rng(2026);
+  const std::vector<Instruction> program = random_stream(64, prog_rng);
+  InstructionStore store;
+  Rng manufacture(7);
+  store.load(program, coding, 0.05, manufacture);
+  const MaskGenerator gen(store.record_sites(), 5.0);
+  Rng rng(11);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; };
+  fold(store.defect_count());
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t pc = 0; pc < store.size(); ++pc) {
+      std::uint64_t faults = 0;
+      const FetchedRecord r = store.fetch(pc, gen, rng, &faults);
+      fold(r.instr_id);
+      fold(r.op_bits);
+      fold(r.a);
+      fold(r.b);
+      fold(faults);
+    }
+  }
+  return h;
+}
+
+TEST(CellPipelineTest, StoreFetchesUnderDefectsAndTransientsArePinned) {
+  // Captured from the per-bit bake/absorb/vote implementation; the
+  // word-wide one must fetch the same records and count the same flips.
+  EXPECT_EQ(store_fetch_digest(LutCoding::kTmr), 0x42f2912acf55b7eaULL);
+  EXPECT_EQ(store_fetch_digest(LutCoding::kNone), 0xcf5b203a95be3b9bULL);
+}
+
+TEST(CellPipelineTest, StuckStoreAbsorbsEveryTransientFetchHit) {
+  // Every stored bit stuck: a fetch reads the stuck values whatever the
+  // transient mask, and counts only the defect-forced flips.
+  Rng prog_rng(3);
+  const std::vector<Instruction> program = random_stream(16, prog_rng);
+  InstructionStore store;
+  Rng manufacture(4);
+  store.load(program, LutCoding::kNone, 1.0, manufacture);
+  ASSERT_EQ(store.defect_count(), store.total_bits());
+  const MaskGenerator quiet(store.record_sites(), 0.0);
+  const MaskGenerator noisy(store.record_sites(), 50.0);
+  Rng rng(5);
+  for (std::size_t pc = 0; pc < store.size(); ++pc) {
+    std::uint64_t quiet_faults = 0;
+    std::uint64_t noisy_faults = 0;
+    const FetchedRecord a = store.fetch(pc, quiet, rng, &quiet_faults);
+    const FetchedRecord b = store.fetch(pc, noisy, rng, &noisy_faults);
+    EXPECT_EQ(a.instr_id, b.instr_id) << pc;
+    EXPECT_EQ(a.op_bits, b.op_bits) << pc;
+    EXPECT_EQ(a.a, b.a) << pc;
+    EXPECT_EQ(a.b, b.b) << pc;
+    EXPECT_EQ(quiet_faults, noisy_faults) << pc;
+  }
 }
 
 TEST(CellPipelineTest, CorruptedOpcodeFlushesInsteadOfRetiring) {

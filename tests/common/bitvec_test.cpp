@@ -107,6 +107,50 @@ TEST(BitVec, ExtractDeposit) {
   EXPECT_EQ(v.extract(0, 3), 7u);
 }
 
+TEST(BitVec, WordWideExtractDepositMatchPerBitAccess) {
+  // Every width 0..64 at every alignment of a 3-word vector, against
+  // get/set: extract reads exactly [lo, lo+n), deposit writes exactly
+  // [lo, lo+n) and leaves every other bit (the tail included) alone.
+  Rng rng(99);
+  for (std::size_t n = 0; n <= 64; ++n) {
+    for (std::size_t lo = 0; lo + n <= 150; ++lo) {
+      BitVec v(150);
+      for (std::size_t i = 0; i < 150; ++i) {
+        v.set(i, rng.bernoulli(0.5));
+      }
+      std::uint64_t want = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        want |= static_cast<std::uint64_t>(v.get(lo + i)) << i;
+      }
+      ASSERT_EQ(v.extract(lo, n), want) << "lo " << lo << " n " << n;
+      const std::uint64_t value = rng.next();
+      BitVec per_bit = v;
+      for (std::size_t i = 0; i < n; ++i) {
+        per_bit.set(lo + i, (value >> i) & 1u);
+      }
+      v.deposit(lo, n, value);
+      ASSERT_EQ(v, per_bit) << "lo " << lo << " n " << n;
+    }
+  }
+}
+
+TEST(BitVec, SpliceCopiesAtAnyOffset) {
+  Rng rng(5);
+  BitVec src(131);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src.set(i, rng.bernoulli(0.5));
+  }
+  for (const std::size_t offset : {0, 1, 63, 64, 69}) {
+    BitVec dst(offset + src.size() + 3);
+    dst.flip(dst.size() - 1);
+    dst.splice(offset, src);
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      ASSERT_EQ(dst.get(offset + i), src.get(i)) << "offset " << offset;
+    }
+    EXPECT_TRUE(dst.get(dst.size() - 1)) << "splice wrote past its range";
+  }
+}
+
 TEST(BitVec, EqualityComparesSizeAndBits) {
   BitVec a(10);
   BitVec b(10);

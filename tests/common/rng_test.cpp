@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -87,6 +89,55 @@ TEST(Rng, FillBelowMatchesRepeatedBelow) {
   // Some draw must have taken the rejection loop; otherwise the
   // comparison above never exercised it.
   EXPECT_TRUE(rejected);
+}
+
+TEST(Rng, FillBernoulliMarkedMatchesThePerSiteLoop) {
+  // The block routine against the loop it replaces: bernoulli(p) per
+  // site, and bernoulli(0.5) after every hit. Same bits, same words
+  // untouched past ceil(n / 64), and the generator left in the same
+  // place (p <= 0 draws nothing, p >= 1 skips the hit draw, NaN draws
+  // once per site and never hits).
+  const double densities[] = {0.0,
+                              1.0,
+                              0.5,
+                              0.02,
+                              1e-12,
+                              1.0 - 0x1.0p-53,
+                              0.375,  // 0.375 * 2^53 is an integer
+                              std::numeric_limits<double>::quiet_NaN(),
+                              -0.25,
+                              1.5};
+  const std::size_t sizes[] = {0, 1, 63, 64, 65, 5670};
+  for (const double p : densities) {
+    for (const std::size_t n : sizes) {
+      for (const std::uint64_t seed : {7ull, 2026ull}) {
+        Rng blocked(seed);
+        Rng reference(seed);
+        const std::size_t words = (n + 63) / 64;
+        std::vector<std::uint64_t> hit(words + 1, 0xababababababababULL);
+        std::vector<std::uint64_t> mark(words + 1, 0xababababababababULL);
+        blocked.fill_bernoulli_marked(p, hit.data(), mark.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const bool h = reference.bernoulli(p);
+          const bool m = h && reference.bernoulli(0.5);
+          ASSERT_EQ(((hit[i / 64] >> (i % 64)) & 1u) != 0, h)
+              << "p " << p << " n " << n << " site " << i;
+          ASSERT_EQ(((mark[i / 64] >> (i % 64)) & 1u) != 0, m)
+              << "p " << p << " n " << n << " site " << i;
+        }
+        if (n % 64 != 0) {
+          EXPECT_EQ(hit[words - 1] >> (n % 64), 0u) << "bits past n set";
+          EXPECT_EQ(mark[words - 1] >> (n % 64), 0u) << "bits past n set";
+        }
+        EXPECT_EQ(hit[words], 0xababababababababULL) << "wrote past n";
+        EXPECT_EQ(mark[words], 0xababababababababULL) << "wrote past n";
+        for (int i = 0; i < 4; ++i) {
+          EXPECT_EQ(blocked.next(), reference.next())
+              << "state diverged at p " << p << " n " << n;
+        }
+      }
+    }
+  }
 }
 
 TEST(Rng, Uniform01Bounds) {

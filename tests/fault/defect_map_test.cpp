@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 namespace nbx {
 namespace {
 
@@ -74,6 +77,110 @@ TEST(DefectMap, ManufactureIsSeedDeterministic) {
 TEST(DefectMap, ZeroDensityManufacturesCleanPart) {
   Rng rng(1);
   EXPECT_EQ(DefectMap::manufacture(1000, 0.0, rng).defect_count(), 0u);
+}
+
+// The per-site manufacture loop the block routine replaced.
+DefectMap manufacture_per_site(std::size_t sites, double p, Rng& rng) {
+  DefectMap map(sites);
+  for (std::size_t i = 0; i < sites; ++i) {
+    if (rng.bernoulli(p)) {
+      map.add(i, rng.bernoulli(0.5) ? DefectKind::kStuckAt1
+                                    : DefectKind::kStuckAt0);
+    }
+  }
+  return map;
+}
+
+// The per-bit imposition loop the word-wide routine replaced.
+void impose_per_bit(const DefectMap& map, const BitVec& golden,
+                    std::size_t first, std::size_t count, BitVec& mask,
+                    std::size_t mask_offset) {
+  for (std::size_t i = 0; i < count; ++i) {
+    if (const auto flip = map.forced_flip(first + i, golden.get(first + i))) {
+      mask.set(mask_offset + i, *flip);
+    }
+  }
+}
+
+BitVec random_bits(std::size_t n, Rng& rng) {
+  BitVec v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v.set(i, rng.bernoulli(0.5));
+  }
+  return v;
+}
+
+TEST(DefectMap, BlockManufactureEqualsThePerSiteReference) {
+  const double densities[] = {0.0,
+                              1.0,
+                              0.5,
+                              0.02,
+                              1e-12,
+                              1.0 - 0x1.0p-53,
+                              0.375,  // 0.375 * 2^53 is an integer
+                              std::numeric_limits<double>::quiet_NaN()};
+  for (const double p : densities) {
+    for (const std::size_t n : {0, 1, 63, 64, 65, 5670}) {
+      Rng blocked(2026);
+      Rng reference(2026);
+      const DefectMap a = DefectMap::manufacture(n, p, blocked);
+      const DefectMap b = manufacture_per_site(n, p, reference);
+      EXPECT_EQ(a.defective(), b.defective()) << "p " << p << " n " << n;
+      EXPECT_EQ(a.stuck(), b.stuck()) << "p " << p << " n " << n;
+      EXPECT_EQ(blocked.next(), reference.next())
+          << "generator moved differently at p " << p << " n " << n;
+    }
+  }
+  // NaN reads as "never defective", one draw per site.
+  Rng rng(1);
+  EXPECT_EQ(DefectMap::manufacture(
+                100, std::numeric_limits<double>::quiet_NaN(), rng)
+                .defect_count(),
+            0u);
+}
+
+TEST(DefectMap, WordWideImposeEqualsThePerBitLoop) {
+  Rng rng(17);
+  for (const std::size_t sites : {1, 63, 65, 127, 1537}) {
+    const DefectMap map = DefectMap::manufacture(sites, 0.2, rng);
+    const BitVec golden = random_bits(sites, rng);
+    // Whole-map form onto a mask larger than the site space.
+    {
+      const BitVec transient = random_bits(sites + 70, rng);
+      BitVec word_wide = transient;
+      BitVec per_bit = transient;
+      map.impose(golden, word_wide);
+      impose_per_bit(map, golden, 0, sites, per_bit, 0);
+      EXPECT_EQ(word_wide, per_bit) << "sites " << sites;
+    }
+    // Segment form: sub-ranges of the map at odd mask offsets, the way
+    // time-redundant ALUs replicate one core into three pass segments.
+    for (const std::size_t first : {std::size_t{0}, sites / 3}) {
+      const std::size_t count = sites - first;
+      for (const std::size_t offset : {0, 1, 37, 64, 100}) {
+        const BitVec transient = random_bits(offset + count + 5, rng);
+        BitVec word_wide = transient;
+        BitVec per_bit = transient;
+        map.impose(golden, first, count, word_wide, offset);
+        impose_per_bit(map, golden, first, count, per_bit, offset);
+        EXPECT_EQ(word_wide, per_bit)
+            << "sites " << sites << " first " << first << " offset "
+            << offset;
+      }
+    }
+  }
+}
+
+TEST(DefectMap, PrefixRestrictsToTheLeadingSites) {
+  Rng rng(4);
+  const DefectMap map = DefectMap::manufacture(200, 0.3, rng);
+  for (const std::size_t n : {0, 1, 64, 130, 200}) {
+    const DefectMap pre = map.prefix(n);
+    ASSERT_EQ(pre.sites(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(pre.forced_flip(i, false), map.forced_flip(i, false));
+    }
+  }
 }
 
 }  // namespace

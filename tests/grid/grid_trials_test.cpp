@@ -147,6 +147,42 @@ TEST(GridTrials, MultiCellSweepGoldenIsPinned) {
   }
 }
 
+TEST(GridTrials, ProfilerSplitsManufactureFromTheRun) {
+  // One `manufacture` sample per grid trial, nested inside that trial's
+  // `grid_trial` sample, for image and program trials alike.
+  std::vector<GridTrialSpec> specs = accuracy_specs();
+  GridTrialSpec program = specs.front();
+  Rng prog_rng(5);
+  program.program = random_stream(16, prog_rng);
+  specs.push_back(program);
+  obs::Profiler prof;
+  ParallelConfig par{2, 0};
+  par.profiler = &prof;
+  const auto profiled = run_grid_trials(TrialEngine{par}, specs);
+  const auto plain = run_grid_trials(TrialEngine{ParallelConfig{2, 0}}, specs);
+  const obs::DurationHistogram* trial = nullptr;
+  const obs::DurationHistogram* manufacture = nullptr;
+  const std::vector<obs::StageProfile> stages = prof.stages();
+  for (const auto& st : stages) {
+    if (st.name == "grid_trial") trial = &st.hist;
+    if (st.name == "manufacture") manufacture = &st.hist;
+  }
+  ASSERT_NE(trial, nullptr);
+  ASSERT_NE(manufacture, nullptr);
+  EXPECT_EQ(trial->count, specs.size());
+  EXPECT_EQ(manufacture->count, specs.size());
+  EXPECT_LE(manufacture->total_seconds, trial->total_seconds);
+  // Timing changes no outcome.
+  ASSERT_EQ(profiled.size(), plain.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(profiled[i].report.percent_correct,
+              plain[i].report.percent_correct);
+    EXPECT_EQ(profiled[i].pipeline_percent_correct,
+              plain[i].pipeline_percent_correct);
+    EXPECT_EQ(profiled[i].alive_map, plain[i].alive_map);
+  }
+}
+
 TEST(GridTrials, ProgressTicksOncePerTrial) {
   std::ostringstream os;
   obs::ProgressReporter progress(os, "grid", 3, 1);

@@ -1,6 +1,8 @@
 // property_test.cpp — randomized property tests across the substrate:
 // differential netlist evaluation, packet-stream fuzzing, grid routing
 // reachability, and end-to-end determinism.
+#include "common/std_string.hpp"  // first: see its header comment
+
 #include <gtest/gtest.h>
 
 #include "alu/alu_factory.hpp"
