@@ -31,6 +31,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <vector>
 
 #include "alu/alu_factory.hpp"
 #include "bench/bench_cli.hpp"
@@ -58,23 +59,30 @@ struct Measured {
   DataPoint point;
 };
 
-Measured measure(const TrialEngine& engine, const IAlu& alu,
-                 const std::vector<std::vector<Instruction>>& streams,
-                 const SweepSpec& spec, int repetitions) {
+/// Measures every engine `repetitions` times, round-robin: a slow spell
+/// on a shared host then costs each engine one repetition instead of
+/// costing one engine all of them, so it cannot decide a gate ratio.
+std::vector<Measured> measure(
+    const std::vector<TrialEngine>& engines, const IAlu& alu,
+    const std::vector<std::vector<Instruction>>& streams,
+    const SweepSpec& spec, int repetitions) {
   const double trials_total =
       static_cast<double>(spec.trials_per_workload) *
       static_cast<double>(streams.size());
-  Measured m;
+  std::vector<Measured> out(engines.size());
   for (int rep = 0; rep < repetitions; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    m.point = engine.point(alu, streams, spec);
-    const double s = seconds_since(t0);
-    m.seconds += s;
-    if (s > 0.0) {
-      m.tps = std::max(m.tps, trials_total / s);
+    for (std::size_t e = 0; e < engines.size(); ++e) {
+      Measured& m = out[e];
+      const auto t0 = std::chrono::steady_clock::now();
+      m.point = engines[e].point(alu, streams, spec);
+      const double s = seconds_since(t0);
+      m.seconds += s;
+      if (s > 0.0) {
+        m.tps = std::max(m.tps, trials_total / s);
+      }
     }
   }
-  return m;
+  return out;
 }
 
 bool identical(const DataPoint& a, const DataPoint& b) {
@@ -120,7 +128,7 @@ int main(int argc, char** argv) {
   const double percent = cli.args().get_double("percent", 0.1);
   const std::uint64_t seed = cli.seed(2026);
   const std::string gate_path = cli.args().get("gate");
-  const int repetitions = 2;
+  const int repetitions = 5;
 
   std::vector<std::string> names = cli.alus();
   if (names.empty()) {
@@ -165,9 +173,16 @@ int main(int argc, char** argv) {
 
     // Same-run scalar-engine baseline (batch_lanes = 0): the throughput
     // reference and the oracle every width must reproduce bit for bit.
-    const TrialEngine scalar_engine{ParallelConfig{1, 0, 0, nullptr}};
-    const Measured scalar =
-        measure(scalar_engine, *alu, streams, spec, repetitions);
+    std::vector<TrialEngine> engines{
+        TrialEngine{ParallelConfig{1, 0, 0, nullptr}}};
+    for (const unsigned lanes : kWidths) {
+      ParallelConfig par;
+      par.batch_lanes = lanes;
+      engines.emplace_back(par);
+    }
+    const std::vector<Measured> runs =
+        measure(engines, *alu, streams, spec, repetitions);
+    const Measured& scalar = runs[0];
     wall_total += scalar.seconds;
     const double scalar_tps = scalar.tps;
     report.metrics.emplace_back("scalar_trials_per_second_" + name,
@@ -176,12 +191,9 @@ int main(int argc, char** argv) {
     TextTable t({"lanes", "trials/s", "vs scalar", "512v64", "identical"});
     double tps64 = 0.0;
     double tps512 = 0.0;
-    for (const unsigned lanes : kWidths) {
-      ParallelConfig par;
-      par.batch_lanes = lanes;
-      const TrialEngine wide_engine(par);
-      const Measured wide =
-          measure(wide_engine, *alu, streams, spec, repetitions);
+    for (std::size_t w = 0; w < std::size(kWidths); ++w) {
+      const unsigned lanes = kWidths[w];
+      const Measured& wide = runs[w + 1];
       const double tps = wide.tps;
       wall_total += wide.seconds;
       const bool same = identical(wide.point, scalar.point);

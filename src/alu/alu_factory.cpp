@@ -1,6 +1,7 @@
 #include "alu/alu_factory.hpp"
 
 #include <cassert>
+#include <mutex>
 
 #include "alu/cmos_core_alu.hpp"
 #include "alu/hw_core_alu.hpp"
@@ -197,6 +198,21 @@ std::unique_ptr<IAlu> make_alu(std::string_view name) {
     return nullptr;
   }
   return make_alu(spec->bit, spec->module);
+}
+
+const IAlu* shared_alu(std::string_view name) {
+  const std::vector<AluSpec>& specs = all_specs();
+  static std::vector<std::once_flag> once(specs.size());
+  static std::vector<std::unique_ptr<const IAlu>> alus(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (specs[i].name == name) {
+      std::call_once(once[i], [&] {
+        alus[i] = make_alu(specs[i].bit, specs[i].module);
+      });
+      return alus[i].get();
+    }
+  }
+  return nullptr;
 }
 
 const std::vector<AluSpec>& table2_specs() {

@@ -56,6 +56,14 @@ std::unique_ptr<IAlu> make_alu(BitLevel bit, ModuleLevel module);
 /// Constructs an ALU by Table-2 name; returns nullptr for unknown names.
 std::unique_ptr<IAlu> make_alu(std::string_view name);
 
+/// The process-wide immutable instance of catalogue ALU `name`, built on
+/// first use (one call_once per catalogue index) and kept for the life of
+/// the process; null for unknown names. compute() and impose_defects()
+/// are const and the golden storage is built under call_once, so one
+/// instance serves every cell on every thread. make_alu() stays the
+/// fresh-instance factory.
+const IAlu* shared_alu(std::string_view name);
+
 /// The twelve rows of Table 2, in the paper's order, with the paper's
 /// exact fault-injection-site counts.
 const std::vector<AluSpec>& table2_specs();

@@ -98,15 +98,6 @@ const LutFabric& shared_lut_fabric(LutCoding coding) {
   return *fabrics[i];
 }
 
-MaskView LutCoreAlu::lut_mask(MaskView mask, std::size_t slice,
-                              Role r) const {
-  if (mask.is_null()) {
-    return {};
-  }
-  const std::size_t i = slice * 4 + r;
-  return mask.subview(offsets_[i], luts_[i].fault_sites());
-}
-
 std::uint8_t LutCoreAlu::eval(Opcode op, std::uint8_t a, std::uint8_t b,
                               MaskView mask, ModuleStats* stats) const {
   const auto opbits = static_cast<std::uint32_t>(op);
@@ -123,16 +114,15 @@ std::uint8_t LutCoreAlu::eval(Opcode op, std::uint8_t a, std::uint8_t b,
     const std::uint32_t ab = (ai ? 1u : 0u) | (bi ? 2u : 0u);
 
     const std::uint32_t l_addr = ab | (op0 ? 4u : 0u) | (op1 ? 8u : 0u);
-    const bool l = lut(i, kLogic).read(l_addr, lut_mask(mask, i, kLogic), ls);
+    const bool l = read_lut(i, kLogic, l_addr, mask, ls);
 
     const std::uint32_t sc_addr = ab | (cin ? 4u : 0u) | (op2 ? 8u : 0u);
-    const bool s = lut(i, kSum).read(sc_addr, lut_mask(mask, i, kSum), ls);
-    const bool c = lut(i, kCarry).read(sc_addr, lut_mask(mask, i, kCarry), ls);
+    const bool s = read_lut(i, kSum, sc_addr, mask, ls);
+    const bool c = read_lut(i, kCarry, sc_addr, mask, ls);
 
     const std::uint32_t o_addr =
         (op2 ? 1u : 0u) | (l ? 2u : 0u) | (s ? 4u : 0u);
-    const bool o =
-        lut(i, kSelect).read(o_addr, lut_mask(mask, i, kSelect), ls);
+    const bool o = read_lut(i, kSelect, o_addr, mask, ls);
 
     result |= static_cast<std::uint8_t>(o ? (1u << i) : 0u);
     cin = c;

@@ -62,11 +62,12 @@ class LutCoreAlu : public CoreAlu {
   std::vector<std::size_t> offsets_;    // site offset of each LUT
   std::size_t sites_;
 
-  [[nodiscard]] const CodedLut& lut(std::size_t slice, Role r) const {
-    return luts_[slice * 4 + r];
+  /// One LUT read under its window of the datapath mask.
+  [[nodiscard]] bool read_lut(std::size_t slice, Role r, std::uint32_t addr,
+                              MaskView mask, LutAccessStats* ls) const {
+    const std::size_t i = slice * 4 + r;
+    return luts_[i].read_at(addr, mask, offsets_[i], ls);
   }
-  [[nodiscard]] MaskView lut_mask(MaskView mask, std::size_t slice,
-                                  Role r) const;
 };
 
 /// One LUT datapath of a given coding and its golden stored bits. Every

@@ -41,19 +41,13 @@ VoteOutput LutVoter::vote(const VoteInput& in, MaskView mask,
     const std::uint32_t addr = (((in.x >> i) & 1u) ? 1u : 0u) |
                                (((in.y >> i) & 1u) ? 2u : 0u) |
                                (((in.z >> i) & 1u) ? 4u : 0u);
-    const MaskView m = mask.is_null()
-                           ? MaskView{}
-                           : mask.subview(offsets_[i], luts_[i].fault_sites());
-    if (luts_[i].read(addr, m, ls)) {
+    if (luts_[i].read_at(addr, mask, offsets_[i], ls)) {
       out.value |= static_cast<std::uint8_t>(1u << i);
     }
   }
   const std::uint32_t vaddr =
       (in.vx ? 1u : 0u) | (in.vy ? 2u : 0u) | (in.vz ? 4u : 0u);
-  const MaskView vm = mask.is_null()
-                          ? MaskView{}
-                          : mask.subview(offsets_[8], luts_[8].fault_sites());
-  out.valid = luts_[8].read(vaddr, vm, ls);
+  out.valid = luts_[8].read_at(vaddr, mask, offsets_[8], ls);
   if (stats != nullptr) {
     if (out.disagreement) {
       ++stats->voter_disagreements;

@@ -52,10 +52,8 @@ std::uint32_t WideLutAlu::eval(Opcode op, std::uint32_t a, std::uint32_t b,
   const bool op0 = opbits & 1u;
   const bool op1 = opbits & 2u;
   const bool op2 = opbits & 4u;
-  auto lut_mask = [&](std::size_t index) {
-    return mask.is_null()
-               ? MaskView{}
-               : mask.subview(offsets_[index], luts_[index].fault_sites());
+  auto read = [&](std::size_t index, std::uint32_t addr) {
+    return luts_[index].read_at(addr, mask, offsets_[index], stats);
   };
   std::uint32_t result = 0;
   bool cin = false;
@@ -65,18 +63,13 @@ std::uint32_t WideLutAlu::eval(Opcode op, std::uint32_t a, std::uint32_t b,
     const std::uint32_t ab = (ai ? 1u : 0u) | (bi ? 2u : 0u);
     const std::size_t base = i * 4;
     const std::uint32_t l_addr = ab | (op0 ? 4u : 0u) | (op1 ? 8u : 0u);
-    const bool l =
-        luts_[base + kLogic].read(l_addr, lut_mask(base + kLogic), stats);
+    const bool l = read(base + kLogic, l_addr);
     const std::uint32_t sc_addr = ab | (cin ? 4u : 0u) | (op2 ? 8u : 0u);
-    const bool s =
-        luts_[base + kSum].read(sc_addr, lut_mask(base + kSum), stats);
-    const bool c =
-        luts_[base + kCarry].read(sc_addr, lut_mask(base + kCarry), stats);
+    const bool s = read(base + kSum, sc_addr);
+    const bool c = read(base + kCarry, sc_addr);
     const std::uint32_t o_addr =
         (op2 ? 1u : 0u) | (l ? 2u : 0u) | (s ? 4u : 0u);
-    const bool o = luts_[base + kSelect].read(o_addr,
-                                              lut_mask(base + kSelect),
-                                              stats);
+    const bool o = read(base + kSelect, o_addr);
     result |= o ? (1u << i) : 0u;
     cin = c;
   }

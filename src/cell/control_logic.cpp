@@ -1,6 +1,8 @@
 #include "cell/control_logic.hpp"
 
-#include "coding/majority.hpp"
+#include <memory>
+#include <mutex>
+
 #include "lut/truth_table.hpp"
 
 namespace nbx {
@@ -50,28 +52,45 @@ BitVec tt_lt_update() {
 
 }  // namespace
 
-ControlLogic::ControlLogic(LutCoding coding, double fault_percent,
-                           std::uint64_t seed)
-    : gen_(0, 0.0), rng_(seed) {
-  luts_.emplace_back(tt_majority3(4), coding);  // data-valid vote
-  luts_.emplace_back(tt_majority3(4), coding);  // to-be-computed vote
-  luts_.emplace_back(tt_gt_update(), coding);   // comparator greater
-  luts_.emplace_back(tt_lt_update(), coding);   // comparator less
-  std::size_t off = 0;
-  for (const CodedLut& l : luts_) {
-    offsets_.push_back(off);
-    off += l.fault_sites();
+ControlFabric::ControlFabric(LutCoding coding) {
+  luts.reserve(offsets.size());
+  luts.emplace_back(tt_majority3(4), coding);  // data-valid vote
+  luts.emplace_back(tt_majority3(4), coding);  // to-be-computed vote
+  luts.emplace_back(tt_gt_update(), coding);   // comparator greater
+  luts.emplace_back(tt_lt_update(), coding);   // comparator less
+  for (std::size_t i = 0; i < luts.size(); ++i) {
+    offsets[i] = sites;
+    sites += luts[i].fault_sites();
   }
-  sites_ = off;
-  gen_ = MaskGenerator(sites_, fault_percent);
-  mask_ = BitVec(sites_);
 }
 
-void ControlLogic::fresh_mask() { gen_.generate(rng_, mask_); }
+const ControlFabric& shared_control_fabric(LutCoding coding) {
+  constexpr std::size_t kCodings =
+      static_cast<std::size_t>(LutCoding::kReedSolomon) + 1;
+  static std::array<std::once_flag, kCodings> once;
+  static std::array<std::unique_ptr<const ControlFabric>, kCodings> fabrics;
+  const auto i = static_cast<std::size_t>(coding);
+  std::call_once(once[i], [&] {
+    fabrics[i] = std::make_unique<const ControlFabric>(coding);
+  });
+  return *fabrics[i];
+}
 
-bool ControlLogic::read_lut(std::size_t idx, std::uint32_t addr) {
-  const MaskView m(mask_, offsets_[idx], luts_[idx].fault_sites());
-  return luts_[idx].read(addr, m);
+ControlLogic::ControlLogic(LutCoding coding, double fault_percent,
+                           std::uint64_t seed)
+    : fabric_(&shared_control_fabric(coding)),
+      gen_(fabric_->sites, fault_percent), rng_(seed) {
+  // A rate that rounds to no faults draws nothing from rng_ (see
+  // MaskGenerator::generate), so skipping the mask moves no stream.
+  if (gen_.faults_per_computation() != 0) {
+    mask_ = BitVec(fabric_->sites);
+  }
+}
+
+void ControlLogic::fresh_mask() {
+  if (!mask_.empty()) {
+    gen_.generate(rng_, mask_);
+  }
 }
 
 bool ControlLogic::vote_field(const std::array<bool, 3>& field) {

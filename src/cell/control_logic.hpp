@@ -39,6 +39,23 @@ enum class RouteDecision : std::uint8_t {
 /// resolved before row (the paper's case order).
 RouteDecision golden_route(CellId self, CellId dest);
 
+/// The four control LUTs of a given coding: [0] valid vote, [1] pending
+/// vote, [2] comparator greater, [3] comparator less, with their site
+/// offsets in one decision's mask. Every cell of that coding reads the
+/// same instance; reads are const, so one fabric serves every cell on
+/// every thread.
+struct ControlFabric {
+  explicit ControlFabric(LutCoding coding);
+
+  std::vector<CodedLut> luts;
+  std::array<std::size_t, 4> offsets{};
+  std::size_t sites = 0;  ///< total control-LUT fault sites
+};
+
+/// The shared control fabric for `coding`, built on first use
+/// (thread-safe) and kept for the life of the process.
+[[nodiscard]] const ControlFabric& shared_control_fabric(LutCoding coding);
+
 /// The cell's LUT-implemented control decisions, with optional fault
 /// injection on the control LUT bit strings.
 class ControlLogic {
@@ -70,20 +87,27 @@ class ControlLogic {
   }
 
   /// Total control-LUT fault sites.
-  [[nodiscard]] std::size_t fault_sites() const { return sites_; }
+  [[nodiscard]] std::size_t fault_sites() const { return fabric_->sites; }
+
+  /// The decision stream's generator (tests pin its position).
+  [[nodiscard]] const Rng& rng() const { return rng_; }
 
  private:
-  std::vector<CodedLut> luts_;  // [0] valid vote, [1] pending vote,
-                                // [2] cmp greater, [3] cmp less
-  std::vector<std::size_t> offsets_;
-  std::size_t sites_ = 0;
+  const ControlFabric* fabric_;  // shared, immutable
   MaskGenerator gen_;
   Rng rng_;
+  /// This decision's fault mask; empty when the rate rounds to zero
+  /// faults per decision, and the reads then go through a null view.
   BitVec mask_;
   std::uint64_t decisions_ = 0;
   std::uint64_t corrupted_ = 0;
 
-  [[nodiscard]] bool read_lut(std::size_t idx, std::uint32_t addr);
+  [[nodiscard]] bool read_lut(std::size_t idx, std::uint32_t addr) const {
+    const MaskView m =
+        mask_.empty() ? MaskView{} : MaskView(mask_, 0, mask_.size());
+    return fabric_->luts[idx].read_at(addr, m, fabric_->offsets[idx],
+                                      nullptr);
+  }
   void fresh_mask();
 
   /// 4-bit magnitude comparison, MSB first, through the two comparator

@@ -9,14 +9,11 @@ namespace nbx {
 
 namespace {
 
-std::unique_ptr<IAlu> make_execute_alu(const std::string& name, bool* ok) {
-  auto alu = make_alu(name);
+const IAlu& catalogue_alu(const std::string& name, bool* ok) {
+  const IAlu* alu = shared_alu(name);
   *ok = alu != nullptr;
-  if (alu == nullptr) {
-    // Keep the object constructible; load() reports the bad name.
-    alu = make_alu("aluns");
-  }
-  return alu;
+  // Keep the object constructible; load() reports the bad name.
+  return alu != nullptr ? *alu : *shared_alu("aluns");
 }
 
 // Micro-op register/mode fields, shared with the architectural
@@ -40,8 +37,7 @@ constexpr std::size_t stage_idx(PipeStage s) {
 
 CellPipeline::CellPipeline(const PipelineConfig& config, CellId id)
     : config_(config), id_(id),
-      decode_(LutCoding::kNone, 0.0, config.seed),
-      execute_(make_execute_alu(config.execute_alu, &alu_ok_)),
+      execute_(catalogue_alu(config.execute_alu, &alu_ok_)),
       regs_(config.registers == 0 ? 1 : config.registers),
       fetch_rng_(0), decode_rng_(0), execute_rng_(0), writeback_rng_(0) {
   if (config_.registers == 0) {

@@ -61,10 +61,7 @@ DecodedOp DecodeStage::run(const FetchedRecord& rec, Rng& rng,
 ExecuteStage::ExecuteStage(LutCoding coding)
     : lut_(&shared_lut_fabric(coding)) {}
 
-ExecuteStage::ExecuteStage(std::unique_ptr<IAlu> alu)
-    : ialu_(std::move(alu)) {
-  assert(ialu_ != nullptr);
-}
+ExecuteStage::ExecuteStage(const IAlu& alu) : ialu_(&alu) {}
 
 std::size_t ExecuteStage::fault_sites() const {
   return lut_ != nullptr ? lut_->alu.fault_sites() : ialu_->fault_sites();

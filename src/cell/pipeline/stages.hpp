@@ -4,13 +4,13 @@
 //
 //   * the LEGACY single-instruction path: ProcessorCell::step_compute()
 //     is re-expressed as a degenerate 1-deep pipeline — fetch scans the
-//     cell memory, decode runs the aluctrl gate, execute runs the three
-//     module-redundancy passes, writeback retires the word. These entry
-//     points reproduce the pre-refactor monolithic pass draw-for-draw,
-//     so every historical golden stands bit-for-bit.
+//     cell memory, the cell's ControlLogic runs the aluctrl gate,
+//     execute runs the three module-redundancy passes, writeback retires
+//     the word. These entry points reproduce the pre-refactor monolithic
+//     pass draw-for-draw, so every historical golden stands bit-for-bit.
 //
 //   * the PROGRAM path: CellPipeline runs NBXS programs through the
-//     same four stages with per-stage fault injection — fetch reads the
+//     four stages with per-stage fault injection — fetch reads the
 //     faultable InstructionStore, decode unpacks a (possibly TMR-
 //     protected) control word, execute drives a catalogued IAlu,
 //     writeback commits to the triplicated RegisterFile.
@@ -21,12 +21,10 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 
 #include "alu/alu_iface.hpp"
 #include "alu/lut_core_alu.hpp"
 #include "cell/cell_memory.hpp"
-#include "cell/control_logic.hpp"
 #include "cell/pipeline/instruction_store.hpp"
 #include "cell/pipeline/register_file.hpp"
 #include "common/rng.hpp"
@@ -86,26 +84,10 @@ struct DecodedOp {
 /// op(3) + dst(3) + mode(2) + src1(3) + src2(3).
 inline constexpr std::size_t kControlWordBits = 14;
 
-/// ID — decode / aluctrl. Owns the cell's LUT-based control logic
-/// (legacy decisions) and the program-mode control-word fault model.
+/// ID — the program decoder: the control-word fault model. (The legacy
+/// path's aluctrl gate and router are the cell's ControlLogic.)
 class DecodeStage {
  public:
-  DecodeStage(LutCoding control_coding, double control_fault_percent,
-              std::uint64_t seed)
-      : control_(control_coding, control_fault_percent, seed) {}
-
-  [[nodiscard]] ControlLogic& control() { return control_; }
-  [[nodiscard]] const ControlLogic& control() const { return control_; }
-
-  /// Legacy aluctrl gate (§3.3).
-  [[nodiscard]] bool should_compute(const MemoryWord& w) {
-    return control_.should_compute(w);
-  }
-  /// Legacy router decision (§3.3).
-  [[nodiscard]] RouteDecision route(CellId self, CellId dest) {
-    return control_.route(self, dest);
-  }
-
   /// Program mode: control-word protection + per-decode fault rate.
   void configure(LutCoding word_coding, double fault_percent);
 
@@ -117,7 +99,6 @@ class DecodeStage {
                               std::uint64_t* bit_faults);
 
  private:
-  ControlLogic control_;
   std::size_t copies_ = 1;
   MaskGenerator gen_{kControlWordBits, 0.0};
   BitVec mask_{kControlWordBits};
@@ -125,14 +106,16 @@ class DecodeStage {
 
 /// EX — the ALU datapath with its fault and defect machinery. Exactly
 /// one fabric is active: the legacy LutCoreAlu (ProcessorCell) or a
-/// catalogued IAlu (CellPipeline).
+/// catalogued IAlu (CellPipeline). Both are shared and immutable; what
+/// a stage owns is its cell's defects, generator and mask.
 class ExecuteStage {
  public:
   /// Legacy fabric: the cell's LUT ALU with the chosen bit coding — the
   /// process-wide shared_lut_fabric(coding), never a copy per cell.
   explicit ExecuteStage(LutCoding coding);
-  /// Program fabric: any Table-2 catalogue ALU.
-  explicit ExecuteStage(std::unique_ptr<IAlu> alu);
+  /// Program fabric: any Table-2 catalogue ALU — in cells, the
+  /// process-wide shared_alu(name). Not owned; must outlive the stage.
+  explicit ExecuteStage(const IAlu& alu);
 
   /// Manufactures the fabric's stuck-at defects and (optionally)
   /// remaps logical storage around them — the exact draw sequence of
@@ -164,11 +147,11 @@ class ExecuteStage {
   [[nodiscard]] std::size_t remap_spares_used() const {
     return spares_used_;
   }
-  [[nodiscard]] const IAlu* alu() const { return ialu_.get(); }
+  [[nodiscard]] const IAlu* alu() const { return ialu_; }
 
  private:
   const LutFabric* lut_ = nullptr;  // legacy fabric (shared, immutable)
-  std::unique_ptr<IAlu> ialu_;      // program fabric
+  const IAlu* ialu_ = nullptr;      // program fabric (shared, immutable)
   DefectMap defects_{0};
   MaskGenerator gen_{0, 0.0};
   BitVec mask_;

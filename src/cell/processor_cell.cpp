@@ -25,8 +25,8 @@ Port port_for(RouteDecision d) {
 
 ProcessorCell::ProcessorCell(CellId id, const CellConfig& config)
     : id_(id), config_(config), memory_(config.memory_words),
-      decode_(config.control_coding, config.control_fault_percent,
-              config.seed ^ 0xC0117201u),
+      control_(config.control_coding, config.control_fault_percent,
+               config.seed ^ 0xC0117201u),
       execute_(config.alu_coding),
       rng_(config.seed ^ (static_cast<std::uint64_t>(id.packed()) << 32)) {
   // Manufacture the execute stage's fabric from the cell RNG — the
@@ -145,7 +145,7 @@ void ProcessorCell::handle_packet(Port from, const Packet& p) {
     return;
   }
   const RouteDecision d =
-      alive_ ? decode_.route(id_, p.dest) : golden_route(id_, p.dest);
+      alive_ ? control_.route(id_, p.dest) : golden_route(id_, p.dest);
   if (d == RouteDecision::kKeepHere) {
     if (!alive_) {
       return;  // disabled cell: traffic for it is already rerouted by the
@@ -214,7 +214,7 @@ void ProcessorCell::step_compute() {
     ++stats_.memory_disagreements;
     note_error();
   }
-  if (!decode_.should_compute(w)) {
+  if (!control_.should_compute(w)) {
     return;
   }
   // Three copies of the result are generated (module-level redundancy);

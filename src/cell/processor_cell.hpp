@@ -6,12 +6,13 @@
 // neighbour bus, advances its mode FSM (shift-in / compute / shift-out,
 // §3.2), and emits at most one flit per bus.
 //
-// Since the pipeline refactor the cell is a thin owner of the four
-// pipeline stages (cell/pipeline/stages.hpp): the historical
-// single-instruction compute pass is the degenerate 1-deep pipeline —
-// fetch scans the memory, decode runs the aluctrl gate, execute runs
-// the three module-redundancy passes, writeback retires the word — and
-// is bit-identical to the pre-refactor monolithic pass. load_program()
+// Since the pipeline refactor the cell is a thin owner of its control
+// logic and three pipeline stages (cell/pipeline/stages.hpp): the
+// historical single-instruction compute pass is the degenerate 1-deep
+// pipeline — fetch scans the memory, the control logic runs the
+// aluctrl gate, execute runs the three module-redundancy passes,
+// writeback retires the word — and is bit-identical to the
+// pre-refactor monolithic pass. load_program()
 // arms the full 4-deep program pipeline (cell/pipeline/
 // cell_pipeline.hpp) on top of the same cell.
 //
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "cell/cell_memory.hpp"
+#include "cell/control_logic.hpp"
 #include "cell/flit_ring.hpp"
 #include "cell/packet.hpp"
 #include "cell/pipeline/cell_pipeline.hpp"
@@ -148,9 +150,7 @@ class ProcessorCell {
   [[nodiscard]] CellMemory& memory() { return memory_; }
 
   [[nodiscard]] const CellStats& stats() const { return stats_; }
-  [[nodiscard]] const ControlLogic& control() const {
-    return decode_.control();
-  }
+  [[nodiscard]] const ControlLogic& control() const { return control_; }
 
   /// True when nothing is buffered in this cell's queues or assemblers.
   [[nodiscard]] bool quiescent() const;
@@ -203,8 +203,8 @@ class ProcessorCell {
 
   CellMemory memory_;
   FetchStage fetch_;
-  DecodeStage decode_;      // owns the ControlLogic
-  ExecuteStage execute_;    // owns the ALU + defect/mask machinery
+  ControlLogic control_;    // aluctrl gate + router (§3.3)
+  ExecuteStage execute_;    // the cell's defects and masks over the ALU
   WritebackStage writeback_;
   Rng rng_;
 

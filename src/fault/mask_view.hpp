@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "common/bitvec.hpp"
 
@@ -15,34 +16,40 @@ namespace nbx {
 
 /// Non-owning view of `length` mask bits starting at `offset` within a
 /// BitVec. A default-constructed view acts as an all-zero (fault-free)
-/// mask, which lets golden-path code share the faulted code path.
+/// mask, which lets golden-path code share the faulted code path. The
+/// view holds the mask's word array, so a read is one word load; the
+/// BitVec must outlive the view and keep its size.
 class MaskView {
  public:
   MaskView() = default;
 
   MaskView(const BitVec& mask, std::size_t offset, std::size_t length)
-      : mask_(&mask), offset_(offset), length_(length) {}
+      : words_(mask.words().data()), offset_(offset), length_(length) {}
 
   /// Bit `i` of this window; false when the view is null (fault-free).
   [[nodiscard]] bool get(std::size_t i) const {
-    return mask_ != nullptr && mask_->get(offset_ + i);
+    if (words_ == nullptr) {
+      return false;
+    }
+    const std::size_t b = offset_ + i;
+    return (words_[b >> 6] >> (b & 63)) & 1u;
   }
 
   [[nodiscard]] std::size_t size() const { return length_; }
-  [[nodiscard]] bool is_null() const { return mask_ == nullptr; }
+  [[nodiscard]] bool is_null() const { return words_ == nullptr; }
 
   /// Sub-window, relative to this view. Requires off+len <= size() for
   /// non-null views; sub-views of a null view are null.
   [[nodiscard]] MaskView subview(std::size_t off, std::size_t len) const {
-    if (mask_ == nullptr) {
+    if (words_ == nullptr) {
       return {};
     }
-    return {*mask_, offset_ + off, len};
+    return MaskView(words_, offset_ + off, len);
   }
 
   /// Number of set bits in the window (0 for null views).
   [[nodiscard]] std::size_t popcount() const {
-    if (mask_ == nullptr) {
+    if (words_ == nullptr) {
       return 0;
     }
     std::size_t n = 0;
@@ -53,7 +60,11 @@ class MaskView {
   }
 
  private:
-  const BitVec* mask_ = nullptr;
+  MaskView(const std::uint64_t* words, std::size_t offset,
+           std::size_t length)
+      : words_(words), offset_(offset), length_(length) {}
+
+  const std::uint64_t* words_ = nullptr;
   std::size_t offset_ = 0;
   std::size_t length_ = 0;
 };

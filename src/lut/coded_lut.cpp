@@ -3,9 +3,7 @@
 #include <bit>
 #include <cassert>
 
-#include "coding/majority.hpp"
 #include "lut/truth_table.hpp"
-#include "obs/counters.hpp"
 
 namespace nbx {
 
@@ -81,6 +79,7 @@ CodedLut::CodedLut(BitVec tt, LutCoding coding)
   assert(std::has_single_bit(tt_.size()));
   k_ = std::countr_zero(tt_.size());
   assert(k_ >= 1 && k_ <= kMaxLutInputs);
+  table_ = tt_.extract(0, tt_.size());
   fault_sites_ = coded_lut_sites(tt_.size(), coding_);
   switch (coding_) {
     case LutCoding::kHamming:
@@ -113,13 +112,16 @@ BitVec CodedLut::stored_bits() const {
       }
       break;
     case LutCoding::kTmr:
-    case LutCoding::kTmrInterleaved:
-      for (std::size_t copy = 0; copy < 3; ++copy) {
-        for (std::size_t i = 0; i < n; ++i) {
-          bits.set(tmr_site(copy, i), tt_.get(i));
+    case LutCoding::kTmrInterleaved: {
+      const std::size_t stride = tmr_stride();
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t first = i * (stride == 1 ? 3 : 1);
+        for (std::size_t copy = 0; copy < 3; ++copy) {
+          bits.set(first + copy * stride, tt_.get(i));
         }
       }
       break;
+    }
     case LutCoding::kHamming:
     case LutCoding::kHammingIdeal:
     case LutCoding::kHsiao:
@@ -135,19 +137,12 @@ BitVec CodedLut::stored_bits() const {
   return bits;
 }
 
-bool CodedLut::read(std::uint32_t addr, MaskView mask,
-                    LutAccessStats* stats) const {
-  assert(addr < tt_.size());
-  assert(mask.is_null() || mask.size() == fault_sites_);
+bool CodedLut::read_decoded(std::uint32_t addr, MaskView mask,
+                            LutAccessStats* stats) const {
   if (stats != nullptr) {
     ++stats->accesses;
   }
   switch (coding_) {
-    case LutCoding::kNone:
-      return read_none(addr, mask);
-    case LutCoding::kTmr:
-    case LutCoding::kTmrInterleaved:
-      return read_tmr(addr, mask, stats);
     case LutCoding::kHamming:
     case LutCoding::kHammingIdeal:
       return read_hamming(addr, mask, stats);
@@ -155,48 +150,13 @@ bool CodedLut::read(std::uint32_t addr, MaskView mask,
       return read_hsiao(addr, mask, stats);
     case LutCoding::kReedSolomon:
       return read_rs(addr, mask, stats);
+    case LutCoding::kNone:
+    case LutCoding::kTmr:
+    case LutCoding::kTmrInterleaved:
+      break;  // read inline by read_at
   }
+  assert(false && "bare and triplicated tables are read inline");
   return false;
-}
-
-bool CodedLut::read_none(std::uint32_t addr, MaskView mask) const {
-  // Only the addressed bit is exposed; faults elsewhere are invisible.
-  return tt_.get(addr) ^ mask.get(addr);
-}
-
-std::size_t CodedLut::tmr_site(std::size_t copy, std::size_t addr) const {
-  // kTmr stores the copies as three separate blocks [copy0|copy1|copy2];
-  // kTmrInterleaved puts the three copies of each entry side by side
-  // (entry-major), trading uniform-fault equivalence for burst exposure.
-  if (coding_ == LutCoding::kTmrInterleaved) {
-    return addr * 3 + copy;
-  }
-  return copy * tt_.size() + addr;
-}
-
-bool CodedLut::read_tmr(std::uint32_t addr, MaskView mask,
-                        LutAccessStats* stats) const {
-  const bool golden = tt_.get(addr);
-  const bool c0 = golden ^ mask.get(tmr_site(0, addr));
-  const bool c1 = golden ^ mask.get(tmr_site(1, addr));
-  const bool c2 = golden ^ mask.get(tmr_site(2, addr));
-  const bool voted = majority3(c0, c1, c2);
-  if (stats != nullptr) {
-    if (tmr_disagreement(c0, c1, c2)) {
-      ++stats->tmr_disagreements;
-    }
-    if (obs::CodeLayerCounters* oc = code_layer_of(stats->obs, coding_)) {
-      ++oc->reads;
-      if (c0 == golden && c1 == golden && c2 == golden) {
-        ++oc->clean;
-      } else if (voted == golden) {
-        ++oc->corrected;
-      } else {
-        ++oc->miscorrected;
-      }
-    }
-  }
-  return voted;
 }
 
 bool CodedLut::read_hamming(std::uint32_t addr, MaskView mask,

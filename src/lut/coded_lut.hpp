@@ -20,9 +20,13 @@
 //
 // Faults are transient: the stored golden strings are never modified.
 // Each access receives a MaskView that XOR-overlays this computation's
-// fault mask onto the stored bits (paper Figure 6a).
+// fault mask onto the stored bits (paper Figure 6a). Bare and
+// triplicated tables read inline from the header: the golden table is
+// one integer and a read loads only the (at most three) addressed mask
+// bits. The information codes run their decoders out of line.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -33,13 +37,9 @@
 #include "coding/reed_solomon.hpp"
 #include "common/bitvec.hpp"
 #include "fault/mask_view.hpp"
+#include "obs/counters.hpp"
 
 namespace nbx {
-
-namespace obs {
-struct Counters;
-struct CodeLayerCounters;
-}  // namespace obs
 
 /// Bit-level fault-tolerance technique of a coded LUT (paper §2.1).
 ///
@@ -130,7 +130,16 @@ class CodedLut {
   /// `mask` (must have size fault_sites(); a null view means fault-free).
   /// `stats` may be null.
   [[nodiscard]] bool read(std::uint32_t addr, MaskView mask,
-                          LutAccessStats* stats = nullptr) const;
+                          LutAccessStats* stats = nullptr) const {
+    assert(mask.is_null() || mask.size() == fault_sites_);
+    return read_at(addr, mask, 0, stats);
+  }
+
+  /// The same read under the window [offset, offset + fault_sites()) of
+  /// `mask`: the form a datapath uses with one mask over all its LUTs.
+  [[nodiscard]] bool read_at(std::uint32_t addr, MaskView mask,
+                             std::size_t offset,
+                             LutAccessStats* stats) const;
 
   /// The golden (unfaulted, undecoded) truth table.
   [[nodiscard]] const BitVec& golden_table() const { return tt_; }
@@ -144,6 +153,7 @@ class CodedLut {
   int k_;
   LutCoding coding_;
   BitVec tt_;      // golden truth table, 2^k bits
+  std::uint64_t table_ = 0;  // tt_ as an integer, entry i in bit i
   BitVec checks_;  // golden check bits (Hamming/Hsiao), empty otherwise
   std::size_t fault_sites_;
   // Code engines are shared per (coding, k); cheap to construct, but we
@@ -152,10 +162,16 @@ class CodedLut {
   std::unique_ptr<HsiaoCode> hsiao_;
   std::unique_ptr<Rs16Code> rs_;
 
-  [[nodiscard]] std::size_t tmr_site(std::size_t copy, std::size_t addr) const;
-  [[nodiscard]] bool read_none(std::uint32_t addr, MaskView mask) const;
-  [[nodiscard]] bool read_tmr(std::uint32_t addr, MaskView mask,
-                              LutAccessStats* stats) const;
+  /// Triplicated tables: copy c of entry i sits at first(i) + c * stride.
+  /// kTmr stores the copies as three blocks [copy0|copy1|copy2]
+  /// (first(i) = i, stride 2^k); kTmrInterleaved puts the three copies
+  /// of each entry side by side (first(i) = 3i, stride 1), trading
+  /// uniform-fault equivalence for burst exposure.
+  [[nodiscard]] std::size_t tmr_stride() const {
+    return coding_ == LutCoding::kTmrInterleaved ? 1 : tt_.size();
+  }
+  [[nodiscard]] bool read_decoded(std::uint32_t addr, MaskView mask,
+                                  LutAccessStats* stats) const;
   [[nodiscard]] bool read_hamming(std::uint32_t addr, MaskView mask,
                                   LutAccessStats* stats) const;
   [[nodiscard]] bool read_hsiao(std::uint32_t addr, MaskView mask,
@@ -163,6 +179,51 @@ class CodedLut {
   [[nodiscard]] bool read_rs(std::uint32_t addr, MaskView mask,
                              LutAccessStats* stats) const;
 };
+
+inline bool CodedLut::read_at(std::uint32_t addr, MaskView mask,
+                              std::size_t offset,
+                              LutAccessStats* stats) const {
+  assert(addr < tt_.size());
+  assert(mask.is_null() || offset + fault_sites_ <= mask.size());
+  const bool golden = (table_ >> addr) & 1u;
+  switch (coding_) {
+    case LutCoding::kNone:
+      if (stats != nullptr) {
+        ++stats->accesses;
+      }
+      // Only the addressed bit is exposed; faults elsewhere are invisible.
+      return golden ^ mask.get(offset + addr);
+    case LutCoding::kTmr:
+    case LutCoding::kTmrInterleaved: {
+      // The vote of the three copies golden ^ m_i is golden XOR the
+      // majority of their mask bits m_i.
+      const std::size_t stride = tmr_stride();
+      const std::size_t first =
+          offset + std::size_t{addr} * (stride == 1 ? 3 : 1);
+      const bool m0 = mask.get(first);
+      const bool m1 = mask.get(first + stride);
+      const bool m2 = mask.get(first + 2 * stride);
+      const bool flipped = (m0 && m1) || (m0 && m2) || (m1 && m2);
+      if (stats != nullptr) {
+        const bool hit = m0 || m1 || m2;
+        ++stats->accesses;
+        stats->tmr_disagreements += hit && !(m0 && m1 && m2) ? 1u : 0u;
+        if (stats->obs != nullptr) {
+          obs::CodeLayerCounters& oc = stats->obs->at(obs::CodeLayer::kTmr);
+          ++oc.reads;
+          ++(!hit ? oc.clean : flipped ? oc.miscorrected : oc.corrected);
+        }
+      }
+      return golden ^ flipped;
+    }
+    case LutCoding::kHamming:
+    case LutCoding::kHammingIdeal:
+    case LutCoding::kHsiao:
+    case LutCoding::kReedSolomon:
+      break;
+  }
+  return read_decoded(addr, mask.subview(offset, fault_sites_), stats);
+}
 
 /// Stored-bit count a coded LUT of `table_bits` would occupy, without
 /// building one. Used by structural unit tests against Table 2.

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <thread>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "fault/defect_map.hpp"
 
 namespace nbx {
 namespace {
@@ -146,6 +152,71 @@ TEST(AluFactory, DescriptionsMentionTechniques) {
             std::string::npos);
   EXPECT_NE(find_spec("aluncmos")->description.find("CMOS"),
             std::string::npos);
+}
+
+TEST(SharedAlu, OneImmutableInstancePerCatalogueName) {
+  Rng rng(19);
+  for (const AluSpec& spec : all_specs()) {
+    const IAlu* alu = shared_alu(spec.name);
+    ASSERT_NE(alu, nullptr) << spec.name;
+    EXPECT_EQ(alu, shared_alu(spec.name));
+    EXPECT_EQ(alu->name(), spec.name);
+    EXPECT_EQ(alu->fault_sites(), spec.expected_sites);
+    // make_alu stays a fresh-instance factory that computes the same.
+    const auto fresh = make_alu(spec.name);
+    EXPECT_NE(fresh.get(), alu);
+    EXPECT_EQ(fresh->golden_storage(), alu->golden_storage());
+    BitVec mask(alu->fault_sites());
+    for (int n = 0; n < 8; ++n) {
+      mask.clear_all();
+      for (std::size_t i = 0; i < mask.size(); ++i) {
+        mask.set(i, rng.bernoulli(0.02));
+      }
+      const auto a = static_cast<std::uint8_t>(rng.below(256));
+      const auto b = static_cast<std::uint8_t>(rng.below(256));
+      const Opcode op = kAllOpcodes[static_cast<std::size_t>(n) % 4];
+      const MaskView v(mask, 0, mask.size());
+      ModuleStats got;
+      ModuleStats want;
+      const AluOutput x = alu->compute(op, a, b, v, &got);
+      const AluOutput y = fresh->compute(op, a, b, v, &want);
+      EXPECT_EQ(x.value, y.value) << spec.name;
+      EXPECT_EQ(x.valid, y.valid) << spec.name;
+      EXPECT_EQ(got.lut.accesses, want.lut.accesses) << spec.name;
+    }
+  }
+}
+
+TEST(SharedAlu, UnknownNameIsNull) {
+  EXPECT_EQ(shared_alu("alu9000"), nullptr);
+  EXPECT_EQ(shared_alu(""), nullptr);
+}
+
+TEST(SharedAlu, ConcurrentFirstUseBuildsOneInstance) {
+  // Cells on several threads ask for the same catalogue ALU at once and
+  // impose defects through it, which builds its golden storage.
+  std::array<const IAlu*, 4> seen{};
+  const auto reference = make_alu("alutsi");
+  Rng rng(23);
+  const DefectMap map =
+      DefectMap::manufacture(reference->defectable_sites(), 0.05, rng);
+  BitVec expected(reference->fault_sites());
+  reference->impose_defects(map, expected);
+  std::vector<BitVec> masks(seen.size(), BitVec(reference->fault_sites()));
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    threads.emplace_back([&seen, &masks, &map, i] {
+      seen[i] = shared_alu("alutsi");
+      seen[i]->impose_defects(map, masks[i]);
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], seen[0]);
+    EXPECT_EQ(masks[i], expected);
+  }
 }
 
 }  // namespace

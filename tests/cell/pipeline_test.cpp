@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "alu/alu_factory.hpp"
 #include "cell/pipeline/instruction_store.hpp"
 #include "cell/processor_cell.hpp"
 #include "goldens.hpp"
@@ -244,6 +245,28 @@ TEST(CellPipelineTest, DeadRouterSalvagesNothing) {
   ASSERT_TRUE(cell.pipeline()->cycle());
   cell.force_fail(/*router_survives=*/false);
   EXPECT_TRUE(cell.salvage_words().empty());
+}
+
+TEST(CellPipelineTest, CellsShareOneCatalogueAlu) {
+  PipelineConfig cfg;
+  cfg.execute_alu = "aluss";
+  CellPipeline a(cfg, CellId{0, 0});
+  CellPipeline b(cfg, CellId{1, 2});
+  ASSERT_TRUE(a.load(raw_chain_program()));
+  ASSERT_TRUE(b.load(raw_chain_program()));
+  EXPECT_EQ(a.execute_alu(), shared_alu("aluss"));
+  EXPECT_EQ(b.execute_alu(), a.execute_alu());
+}
+
+TEST(CellPipelineTest, UnknownExecuteAluFailsLoad) {
+  PipelineConfig cfg;
+  cfg.execute_alu = "alubogus";
+  CellPipeline pipe(cfg, CellId{0, 0});
+  EXPECT_FALSE(pipe.load(raw_chain_program()));
+  CellConfig cell_cfg;
+  cell_cfg.pipeline.execute_alu = "alubogus";
+  ProcessorCell cell(CellId{0, 0}, cell_cfg);
+  EXPECT_FALSE(cell.load_program(raw_chain_program()));
 }
 
 }  // namespace

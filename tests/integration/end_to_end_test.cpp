@@ -94,6 +94,46 @@ TEST(EndToEnd, ControlFaultsCauseSkippedOrRecomputedWork) {
       << "control-LUT faults should corrupt some decisions";
 }
 
+// Digest of a grid run under control-LUT faults: the output image, the
+// report, every cell's decision counts and the next draw of every cell's
+// control stream. Pinned so that how control LUTs are stored or read
+// cannot move one decision or one draw.
+std::uint64_t control_fault_run_digest(LutCoding coding) {
+  CellConfig cfg;
+  cfg.control_coding = coding;
+  cfg.control_fault_percent = 8.0;
+  NanoBoxGrid grid(2, 2, cfg);
+  ControlProcessor cp(grid);
+  GridRunOptions opt;
+  opt.compute_cycles = 300;
+  GridRunReport report;
+  const Bitmap out = cp.run_image_op(Bitmap::paper_test_image(),
+                                     reverse_video_op(), opt, &report);
+  std::uint64_t h =
+      derive_seed({report.results_correct, report.results_missing,
+                   report.instructions_computed, report.packets_forwarded});
+  for (std::size_t i = 0; i < out.pixel_count(); ++i) {
+    h = derive_seed({h, out.pixel(i)});
+  }
+  for (ProcessorCell* c : grid.all_cells()) {
+    Rng next = c->control().rng();
+    h = derive_seed({h, c->control().decisions(),
+                     c->control().corrupted_decisions(), next.next()});
+  }
+  return h;
+}
+
+TEST(EndToEnd, ControlFaultRunIsPinned) {
+  EXPECT_EQ(control_fault_run_digest(LutCoding::kNone),
+            11467269808168597569ULL);
+  EXPECT_EQ(control_fault_run_digest(LutCoding::kTmr),
+            5471911434845480659ULL);
+  EXPECT_EQ(control_fault_run_digest(LutCoding::kTmrInterleaved),
+            14827636414546100277ULL);
+  EXPECT_EQ(control_fault_run_digest(LutCoding::kHamming),
+            11685364916012806243ULL);
+}
+
 TEST(EndToEnd, LargeImageOnLargeGrid) {
   NanoBoxGrid grid(6, 6, CellConfig{});
   ControlProcessor cp(grid);
